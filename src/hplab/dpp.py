@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
-from scipy import special as sp
 from scipy import stats as st
 
-from .errors import NumericalError
+from .errors import NumericalError, check_params
 from .rng import RngStream
 from .orthopoly import (
     KernelSpec,
@@ -138,6 +137,20 @@ class CellPartition:
         )
 
 
+def _equal_mass_edges(x: np.ndarray, density: np.ndarray, k: int) -> np.ndarray:
+    """``k + 1`` points of grid ``x`` that split the mass of ``density`` evenly.
+
+    The mass is the cumulative trapezoid rule on ``x``; the end points are
+    ``x[0]`` and ``x[-1]`` exactly.
+    """
+    mass = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(x))])
+    if mass[-1] <= 0:
+        raise NumericalError("weight mass vanished on the requested disc")
+    edges = np.interp(mass[-1] * np.arange(k + 1) / k, mass, x)
+    edges[0], edges[-1] = x[0], x[-1]
+    return edges
+
+
 def equal_mass_partition(
     weight: WeightSpec, rings: int, sectors: int, r_max: float
 ) -> CellPartition:
@@ -152,36 +165,21 @@ def equal_mass_partition(
     if not 0 < r_max < 1:
         raise ValueError("r_max must lie in (0, 1)")
 
-    n_r, n_t = 2049, 512
-    rr = np.linspace(0.0, r_max, n_r)
-    tt = np.linspace(0.0, 2.0 * math.pi, n_t, endpoint=False)
-    zz = rr[:, None] * np.exp(1j * tt)[None, :]
-    wv = np.zeros_like(zz, dtype=float)
-    inside = np.abs(zz) < 1.0
-    wv[inside] = weight_eval(weight, zz[inside])
     # radial mass density rho(r) = r * int w(r e^{i t}) dt (periodic rectangle rule)
-    rho = rr * wv.sum(axis=1) * (2.0 * math.pi / n_t)
-    mass = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(rr))])
-    if mass[-1] <= 0:
-        raise NumericalError("weight mass vanished on the requested disc")
-    targets = mass[-1] * np.arange(rings + 1) / rings
-    r_edges = np.interp(targets, mass, rr)
-    r_edges[0], r_edges[-1] = 0.0, r_max
+    n_t = 512
+    rr = np.linspace(0.0, r_max, 513)
+    tt = np.linspace(0.0, 2.0 * math.pi, n_t, endpoint=False)
+    wv = weight_eval(weight, rr[:, None] * np.exp(1j * tt))
+    r_edges = _equal_mass_edges(rr, rr * wv.sum(axis=1) * (2.0 * math.pi / n_t), rings)
 
+    # angular mass density of each ring, by 32-point Gauss-Legendre in r
     xg, wg = np.polynomial.legendre.leggauss(32)
+    half = 0.5 * np.diff(r_edges)[:, None]
+    r_nodes = half * xg + 0.5 * (r_edges[1:] + r_edges[:-1])[:, None]
     t_grid = np.linspace(0.0, 2.0 * math.pi, 1025)
-    theta_edges = np.empty((rings, sectors + 1))
-    for g in range(rings):
-        lo, hi = r_edges[g], r_edges[g + 1]
-        r_nodes = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
-        z = r_nodes[:, None] * np.exp(1j * t_grid)[None, :]
-        wvals = weight_eval(weight, z)
-        line = 0.5 * (hi - lo) * np.sum(wg[:, None] * r_nodes[:, None] * wvals, axis=0)
-        h = np.concatenate([[0.0], np.cumsum(0.5 * (line[1:] + line[:-1]) * np.diff(t_grid))])
-        tg = h[-1] * np.arange(sectors + 1) / sectors
-        edges = np.interp(tg, h, t_grid)
-        edges[0], edges[-1] = 0.0, 2.0 * math.pi
-        theta_edges[g] = edges
+    wvals = weight_eval(weight, r_nodes[:, :, None] * np.exp(1j * t_grid))
+    line = half * np.sum((wg * r_nodes)[:, :, None] * wvals, axis=1)
+    theta_edges = np.array([_equal_mass_edges(t_grid, row, sectors) for row in line])
     return CellPartition(r_edges, theta_edges)
 
 
@@ -190,31 +188,30 @@ def equal_mass_partition(
 
 
 def _cell_rules(partition: CellPartition, weight: WeightSpec, nodes: int):
-    """Per-cell quadrature (points, weights) against the reference weight."""
+    """Per-cell tensor Gauss-Legendre rules against the reference weight.
+
+    Returns points and weights, both of shape ``(n_cells, nodes**2)``.
+    """
     xg, wg = np.polynomial.legendre.leggauss(nodes)
-    out = []
-    for idx in range(partition.n_cells):
-        r_lo, r_hi, t_lo, t_hi = partition.cell_bounds(idx)
-        r = 0.5 * (r_hi - r_lo) * xg + 0.5 * (r_hi + r_lo)
-        t = 0.5 * (t_hi - t_lo) * xg + 0.5 * (t_hi + t_lo)
-        ur = 0.5 * (r_hi - r_lo) * wg * r
-        ut = 0.5 * (t_hi - t_lo) * wg
-        z = (r[:, None] * np.exp(1j * t)[None, :]).ravel()
-        u = (ur[:, None] * ut[None, :]).ravel() * weight_eval(weight, z)
-        out.append((z, u))
-    return out
+    ring = np.repeat(np.arange(partition.rings), partition.sectors)
+    r_lo, r_hi = partition.r_edges[ring, None], partition.r_edges[ring + 1, None]
+    t_lo = partition.theta_edges[:, :-1].reshape(-1, 1)
+    t_hi = partition.theta_edges[:, 1:].reshape(-1, 1)
+    r = 0.5 * (r_hi - r_lo) * xg + 0.5 * (r_hi + r_lo)
+    t = 0.5 * (t_hi - t_lo) * xg + 0.5 * (t_hi + t_lo)
+    ur = 0.5 * (r_hi - r_lo) * wg * r
+    ut = 0.5 * (t_hi - t_lo) * wg
+    z = (r[:, :, None] * np.exp(1j * t)[:, None, :]).reshape(partition.n_cells, -1)
+    u = (ur[:, :, None] * ut[:, None, :]).reshape(partition.n_cells, -1)
+    return z, u * weight_eval(weight, z)
 
 
 def expected_cell_counts(
     kernel: KernelSpec, partition: CellPartition, nodes: int = 24
 ) -> np.ndarray:
     """Exact expected occupation number ``int_cell K(z, z) w(z) dA`` per cell."""
-    weight = reference_weight(kernel)
-    rules = _cell_rules(partition, weight, nodes)
-    out = np.empty(partition.n_cells)
-    for idx, (z, u) in enumerate(rules):
-        out[idx] = float(np.sum(u * np.real(_kernel_diag(kernel, z))))
-    return out
+    z, u = _cell_rules(partition, reference_weight(kernel), nodes)
+    return np.sum(u * _kernel_diag(kernel, z), axis=1)
 
 
 def _kernel_diag(kernel: KernelSpec, z: np.ndarray) -> np.ndarray:
@@ -269,10 +266,7 @@ class CorrelationReport:
 
     @property
     def max_abs_z(self) -> float:
-        zs = [np.max(np.abs(self.cell_z))] if self.cell_z.size else [0.0]
-        if self.pair_z.size:
-            zs.append(np.max(np.abs(self.pair_z)))
-        return float(max(zs))
+        return float(np.max(np.abs(np.concatenate([self.cell_z, self.pair_z])), initial=0.0))
 
     @property
     def passed(self) -> bool:
@@ -321,19 +315,20 @@ class CorrelationReport:
 
 
 def _safe_z(mean, expected, se, n_samples):
-    """z-score with the empirical standard error floored at the Poisson scale.
+    """z-scores with the empirical standard error floored at the Poisson scale.
 
     Counts of a determinantal process are sums of negatively associated
     indicators, so their variance never exceeds their mean; sqrt(expected / S)
     is therefore a valid upper bound on the standard error.  Flooring with it
     keeps the test level while avoiding the blow-up of the empirical estimate
-    when only a handful of events were observed.
+    when only a handful of events were observed.  A zero standard error gives
+    z = 0 where mean and expectation agree to 1e-12 and +inf elsewhere.
     """
-    floor = math.sqrt(max(expected, 0.0) / n_samples)
-    se = max(se, floor)
-    if se == 0:
-        return 0.0 if abs(mean - expected) < 1e-12 else float("inf")
-    return (mean - expected) / se
+    se = np.maximum(se, np.sqrt(np.maximum(expected, 0.0) / n_samples))
+    diff = mean - expected
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = diff / se
+    return np.where(se > 0, z, np.where(np.abs(diff) < 1e-12, 0.0, np.inf))
 
 
 def verify_intensities(
@@ -342,8 +337,6 @@ def verify_intensities(
     partition: CellPartition,
     level: float = 1e-3,
     include_pairs: bool = True,
-    nodes: int = 24,
-    pair_nodes: int = 12,
 ) -> CorrelationReport:
     """Compare an ensemble's cell statistics with exact kernel predictions.
 
@@ -353,53 +346,40 @@ def verify_intensities(
 
         E[N_A N_B] = int_A int_B (K(z,z) K(w,w) - |K(z,w)|^2) w(z) w(w) dA dA.
 
-    Each comparison yields a z-score; all must stay below the two-sided
+    For the finite kernel K(z, w) = f(z)^T conj(f(w)) of a polynomial basis f,
+    the |K|^2 term equals sum_kl M_A[k, l] conj(M_B[k, l]) with the per-cell
+    moment M_A = int_A f f^H w dA, so one product gives every pair.  Each
+    comparison yields a z-score; all must stay below the two-sided
     Bonferroni threshold at significance ``level`` for ``passed`` to be true.
     """
+    if kernel.kind != "finite":
+        raise ValueError("verify_intensities needs the finite kernel of a polynomial basis")
     configs = np.asarray(configs, dtype=np.complex128)
     s = configs.shape[0]
     if s < 2:
         raise ValueError("need at least two configurations")
     counts = partition.counts(configs).astype(float)
 
-    weight = reference_weight(kernel)
-    rules = _cell_rules(partition, weight, nodes)
-    mu = np.array([float(np.sum(u * np.real(_kernel_diag(kernel, z)))) for z, u in rules])
-
+    mu = expected_cell_counts(kernel, partition)
     cell_mean = counts.mean(axis=0)
     cell_se = counts.std(axis=0, ddof=1) / math.sqrt(s)
-    cell_z = np.array(
-        [_safe_z(cell_mean[i], mu[i], cell_se[i], s) for i in range(partition.n_cells)]
-    )
+    cell_z = _safe_z(cell_mean, mu, cell_se, s)
 
     if include_pairs:
-        prules = _cell_rules(partition, weight, pair_nodes)
-        pmu = np.array([float(np.sum(u * np.real(_kernel_diag(kernel, z)))) for z, u in prules])
-        if kernel.kind == "finite":
-            feats = [kernel.basis.evaluate(z) for z, _ in prules]
-        idx_pairs = [(a, b) for a in range(partition.n_cells) for b in range(a + 1, partition.n_cells)]
-        pe, pm, pse, pz = [], [], [], []
-        for a, b in idx_pairs:
-            za, ua = prules[a]
-            zb, ub = prules[b]
-            if kernel.kind == "finite":
-                cross = feats[a].T @ np.conj(feats[b])
-            else:
-                cross = kernel_eval(kernel, za, zb)
-            correction = float(np.real(ua @ (np.abs(cross) ** 2) @ ub))
-            expected = float(pmu[a] * pmu[b] - correction)
-            prod = counts[:, a] * counts[:, b]
-            mean = float(prod.mean())
-            se = float(prod.std(ddof=1) / math.sqrt(s))
-            pe.append(expected)
-            pm.append(mean)
-            pse.append(se)
-            pz.append(_safe_z(mean, expected, se, s))
-        pair_index = np.array(idx_pairs, dtype=np.int64)
-        pair_expected = np.array(pe)
-        pair_mean = np.array(pm)
-        pair_se = np.array(pse)
-        pair_z = np.array(pz)
+        z, u = _cell_rules(partition, reference_weight(kernel), 12)
+        f = kernel.basis.evaluate(z).transpose(1, 0, 2)  # (cells, n, points)
+        moments = (f * u[:, None, :]) @ f.conj().transpose(0, 2, 1)  # (cells, n, n)
+        pmu = np.real(np.trace(moments, axis1=1, axis2=2))
+        moments = moments.reshape(partition.n_cells, -1)
+        a, b = np.triu_indices(partition.n_cells, 1)
+        correction = np.real(moments @ moments.conj().T)[a, b]
+        pair_expected = pmu[a] * pmu[b] - correction
+        sums = (counts.T @ counts)[a, b]
+        squares = (counts.T**2 @ counts**2)[a, b]
+        pair_mean = sums / s
+        pair_se = np.sqrt(np.maximum(squares - sums * pair_mean, 0.0) / (s - 1) / s)
+        pair_index = np.stack([a, b], axis=1).astype(np.int64)
+        pair_z = _safe_z(pair_mean, pair_expected, pair_se, s)
     else:
         pair_index = np.empty((0, 2), dtype=np.int64)
         pair_expected = pair_mean = pair_se = pair_z = np.empty(0)
@@ -427,9 +407,6 @@ def verify_intensities(
 
 class _EnvelopeViolation(Exception):
     pass
-
-
-_PLAN_CACHE: "dict[int, tuple]" = {}
 
 
 def _sampler_plan(basis: PolynomialBasis, boundary_points: int):
@@ -502,14 +479,11 @@ def sample_projection_dpp(
     n = basis.n
     weight = WeightSpec("hp", basis.m, basis.delta)
     a = basis.delta.real
-    plan_key = id(basis)
-    plan = _PLAN_CACHE.get(plan_key)
-    if plan is None or plan[0] is not basis:
-        plan = (basis, 4096, _sampler_plan(basis, 4096))
-        _PLAN_CACHE[plan_key] = plan
+    if basis.sampler_plan is None:
+        object.__setattr__(basis, "sampler_plan", (4096, _sampler_plan(basis, 4096)))
 
     for round_ in range(2):
-        _, bnd_pts, (mode, k_sup, envelope, z_sing) = plan
+        bnd_pts, (mode, k_sup, envelope, z_sing) = basis.sampler_plan
         try:
             points = np.empty(n, dtype=np.complex128)
             feats = np.empty((n, n), dtype=np.complex128)
@@ -555,8 +529,7 @@ def sample_projection_dpp(
                     "kernel bound unreliable"
                 )
             finer = bnd_pts * 8
-            plan = (basis, finer, _sampler_plan(basis, finer))
-            _PLAN_CACHE[plan_key] = plan
+            object.__setattr__(basis, "sampler_plan", (finer, _sampler_plan(basis, finer)))
     raise AssertionError("unreachable")
 
 
@@ -657,11 +630,7 @@ def gauge_identity_check(points, m: int, delta: complex, dps: int = 25) -> float
     form invariant, so the exact answer is 0.  Tuples with repeated points
     make both sides vanish; they return 0 by convention.
     """
-    delta = complex(delta)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if delta.real <= -0.5:
-        raise ValueError(f"Re delta must exceed -1/2, got {delta}")
+    delta = check_params(m, delta)
     pts = [complex(p) for p in np.asarray(points, dtype=np.complex128).ravel()]
     if not pts:
         raise ValueError("need at least one point")

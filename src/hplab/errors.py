@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and parameter checks shared across the package."""
 
 
 class NumericalError(RuntimeError):
@@ -16,3 +16,17 @@ class ConfigError(ValueError):
         self.code = code
         self.field = field
         super().__init__(message)
+
+
+def check_params(m: int | None, delta) -> complex:
+    """``delta`` as a complex number, once (m, delta) is admissible.
+
+    Raises ``ValueError`` unless m >= 1 and Re delta > -1/2; ``m`` is None
+    where only delta is given.
+    """
+    if m is not None and m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    delta = complex(delta)
+    if delta.real <= -0.5:
+        raise ValueError(f"Re delta must exceed -1/2, got {delta}")
+    return delta

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import NumericalError
+from .errors import NumericalError, check_params
 from .weights import GRAM_MAX_N, WeightSpec, gram_matrix
 
 __all__ = [
@@ -51,6 +51,9 @@ class PolynomialBasis:
     m: int
     delta: complex
     coeffs: np.ndarray = field(repr=False)
+    # Rejection envelope of the DPP sampler as (boundary_points, plan); built
+    # on first use, and refined after an envelope violation, by hplab.dpp.
+    sampler_plan: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -157,8 +160,7 @@ def closed_form_basis_delta0(n: int, m: int) -> PolynomialBasis:
     """
     if not 1 <= n <= GRAM_MAX_N:
         raise ValueError(f"n must be in [1, {GRAM_MAX_N}]")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    check_params(m, 0)
     coeffs = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
         coeffs[k, k] = math.sqrt(m / math.pi * math.comb(m + k, k))
@@ -192,17 +194,11 @@ def finite_kernel(basis: PolynomialBasis) -> KernelSpec:
 
 
 def limiting_kernel(m: int, delta: complex) -> KernelSpec:
-    delta = complex(delta)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if delta.real <= -0.5:
-        raise ValueError(f"Re delta must exceed -1/2, got {delta}")
-    return KernelSpec("limit_hp", m, delta)
+    return KernelSpec("limit_hp", m, check_params(m, delta))
 
 
 def bergman_kernel(m: int) -> KernelSpec:
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    check_params(m, 0)
     return KernelSpec("bergman", m)
 
 

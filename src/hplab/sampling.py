@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sp
 
-from .errors import NumericalError
+from .errors import NumericalError, check_params
 from .rng import RngStream
 
 __all__ = [
@@ -44,11 +45,7 @@ class HPParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        object.__setattr__(self, "delta", complex(self.delta))
-        if self.delta.real <= -0.5:
-            raise ValueError(f"Re delta must exceed -1/2, got {self.delta}")
+        object.__setattr__(self, "delta", check_params(self.m, self.delta))
 
     @property
     def dim(self) -> int:
@@ -144,6 +141,22 @@ def _rejection_log_bound(dim: int, delta: complex) -> float:
     return 2.0 * dim * delta.real * math.log(2.0) + math.pi * dim * abs(delta.imag)
 
 
+def _rejection_acceptance(dim: int, delta: complex) -> float:
+    """Probability that the rejection sampler accepts one Haar proposal.
+
+    It is the Haar moment over the bound: with N = dim and delta = a + ib,
+
+        E|det(I-U)^delta|^2 = prod_{j=1}^{N} Gamma(j) Gamma(j+2a) / |Gamma(j+delta)|^2,
+
+    divided by 4^(aN) e^(pi N |b|).
+    """
+    j = np.arange(1, dim + 1)
+    log_moment = np.sum(
+        sp.gammaln(j) + sp.gammaln(j + 2.0 * delta.real) - 2.0 * np.real(sp.loggamma(j + delta))
+    )
+    return math.exp(log_moment - _rejection_log_bound(dim, delta))
+
+
 def sample_hua_pickrell_rejection(
     dim: int,
     delta: complex,
@@ -207,9 +220,7 @@ def sample_hua_pickrell_mh(
     chain emits one state every ``cfg.thinning`` proposals, ``count`` times.
     At delta = 0 every proposal is accepted and the output is exactly Haar.
     """
-    delta = complex(delta)
-    if delta.real <= -0.5:
-        raise ValueError(f"Re delta must exceed -1/2, got {delta}")
+    delta = check_params(None, delta)
     if count < 0:
         raise ValueError("count must be nonnegative")
     current = sample_haar_unitary(dim, rng)

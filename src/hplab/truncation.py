@@ -16,7 +16,7 @@ from .rng import RngStream
 from .sampling import (
     HPParams,
     MHConfig,
-    hp_log_weight,
+    _rejection_acceptance,
     sample_haar_unitary,
     sample_hua_pickrell_rejection,
 )
@@ -34,6 +34,10 @@ SAMPLERS = ("haar", "hp_rejection", "hp_mh")
 # Ensembles are generated in fixed-size chunks, each on its own RNG substream,
 # so results are identical for any worker count.
 ENSEMBLE_CHUNK = 256
+
+# Expected Haar proposals above which a rejection run is refused up front; the
+# largest run in the test suite (2e4 samples on U(4) at delta = 1) needs 1e6.
+REJECTION_MAX_PROPOSALS = 1e8
 
 
 def truncate(u: np.ndarray, keep: int) -> np.ndarray:
@@ -95,6 +99,8 @@ def sample_truncation_ensemble(
     ``c`` consuming substream ``c`` of ``rng``; ``workers`` > 1 distributes
     chunks over processes without changing the output.  The MH sampler is a
     single sequential chain (substream 0) and ignores ``workers``.
+    A rejection run expected to need over ``REJECTION_MAX_PROPOSALS`` Haar
+    proposals raises :class:`NumericalError` before any sampling.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
@@ -104,6 +110,15 @@ def sample_truncation_ensemble(
         raise ValueError("the haar sampler requires delta = 0")
     if sampler == "hp_rejection" and params.delta.real < 0:
         raise ValueError("hp_rejection requires Re delta >= 0")
+    if sampler == "hp_rejection":
+        acceptance = _rejection_acceptance(params.dim, params.delta)
+        if count / acceptance > REJECTION_MAX_PROPOSALS:
+            raise NumericalError(
+                f"hp_rejection on U({params.dim}) at delta = {params.delta} accepts "
+                f"{acceptance:.3g} of its Haar proposals: {count} samples need about "
+                f"{count / acceptance:.3g} proposals, over the limit of "
+                f"{REJECTION_MAX_PROPOSALS:.0e}; use hp_mh"
+            )
     if count == 0:
         return np.empty((0, params.n), dtype=np.complex128)
 

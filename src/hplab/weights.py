@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from .errors import NumericalError
+from .errors import NumericalError, check_params
 
 __all__ = [
     "WeightSpec",
@@ -60,11 +60,7 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in ("hp", "bergman"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        object.__setattr__(self, "delta", complex(self.delta))
-        if self.delta.real <= -0.5:
-            raise ValueError(f"Re delta must exceed -1/2, got {self.delta}")
+        object.__setattr__(self, "delta", check_params(self.m, self.delta))
 
 
 def weight_eval(spec: WeightSpec, z) -> np.ndarray:
@@ -92,13 +88,10 @@ def radial_monomial_integral(p: int, m: int) -> float:
     return math.pi * math.exp(math.lgamma(p + 1) + math.lgamma(m) - math.lgamma(p + m + 1))
 
 
-def _check_moment_args(j: int, k: int, m: int, delta: complex):
+def _check_moment_args(j: int, k: int, m: int, delta) -> complex:
     if j < 0 or k < 0:
         raise ValueError("monomial exponents must be nonnegative")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if delta.real <= -0.5:
-        raise ValueError(f"Re delta must exceed -1/2, got {delta}")
+    return check_params(m, delta)
 
 
 # Asymptotic polygamma expansions for the Euler-Maclaurin derivative
@@ -228,8 +221,7 @@ def moment_series(j: int, k: int, m: int, delta: complex, tol: float = 1e-14) ->
     Raises :class:`NumericalError` if the internal error estimate exceeds
     ``tol`` relative to the result.
     """
-    delta = complex(delta)
-    _check_moment_args(j, k, m, delta)
+    delta = _check_moment_args(j, k, m, delta)
     if tol <= 0:
         raise ValueError("tol must be positive")
     return _moment_series_cached(int(j), int(k), int(m), delta, float(tol))
@@ -276,8 +268,7 @@ def disc_weight_nodes(m: int, delta: complex, radial_nodes: int = 64, angular_no
     radial direction; spectrally accurate otherwise.  All weights are real
     positive and all nodes lie strictly inside the disc.
     """
-    delta = complex(delta)
-    _check_moment_args(0, 0, m, delta)
+    delta = _check_moment_args(0, 0, m, delta)
     if radial_nodes < 2 or angular_nodes < 2:
         raise ValueError("node counts must be at least 2")
     return _disc_nodes_cached(int(m), delta, int(radial_nodes), int(angular_nodes))
@@ -291,8 +282,7 @@ def moment_quadrature(
     Node counts are lower bounds and are raised internally so the rule
     resolves the monomial degree.
     """
-    delta = complex(delta)
-    _check_moment_args(j, k, m, delta)
+    delta = _check_moment_args(j, k, m, delta)
     if radial_nodes < 64 or angular_nodes < 64:
         raise ValueError("node counts below 64 are not supported")
     ns = max(radial_nodes, (j + k) // 2 + 8)
@@ -331,6 +321,5 @@ def gram_matrix(n: int, m: int, delta: complex, tol: float = 1e-14) -> np.ndarra
         raise ValueError("n must be >= 1")
     if n > GRAM_MAX_N:
         raise ValueError(f"n={n} exceeds the supported maximum {GRAM_MAX_N}")
-    delta = complex(delta)
-    _check_moment_args(0, 0, m, delta)
+    delta = _check_moment_args(0, 0, m, delta)
     return _gram_cached(int(n), int(m), delta, float(tol)).copy()

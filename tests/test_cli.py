@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -262,6 +263,19 @@ def test_main_error_exit_codes(tmp_path, capsys):
     path = _write(tmp_path, "d.json", _base_sample(tmp_path))
     assert main(["sample", "--config", path, "--workers", "0"]) == 2
     capsys.readouterr()
+
+
+def test_hopeless_rejection_run_refused(tmp_path, capsys):
+    # default sampler at Re delta >= 0 is hp_rejection; at N = 3, delta = 1+2i
+    # it accepts 4.4e-8 of its proposals, so 4000 samples are refused
+    data = {"seed": 1, "n": 2, "m": 1, "delta": [1.0, 2.0], "samples": 4000,
+            "output_dir": str(tmp_path / "out")}
+    path = _write(tmp_path, "cfg.json", data)
+    t0 = time.perf_counter()
+    assert main(["verify-dpp", "--config", path]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "4.36e-08" in err and "9.17e+10" in err
 
 
 def test_mh_sampler_through_cli(tmp_path):

@@ -20,6 +20,7 @@ from hplab.orthopoly import (
     bergman_kernel,
     closed_form_basis_delta0,
     finite_kernel,
+    kernel_eval,
     limiting_kernel,
     orthonormal_basis,
 )
@@ -65,8 +66,9 @@ def test_partition_counts():
 def test_equal_mass_partition_is_equal_mass():
     weight = WeightSpec("hp", 2, complex(1.0, 2.0))
     part = equal_mass_partition(weight, 3, 4, 0.9)
-    rules = _cell_rules(part, weight, 24)
-    masses = np.array([float(np.sum(u)) for _, u in rules])
+    z, u = _cell_rules(part, weight, 24)
+    assert z.shape == u.shape == (12, 24 * 24)
+    masses = u.sum(axis=1)
     assert masses.max() / masses.min() < 1.02
 
 
@@ -125,10 +127,28 @@ def test_second_moment_inequality():
         kernel = finite_kernel(basis)
         part = equal_mass_partition(WeightSpec("hp", m, delta), 2, 3, 0.9)
         pts = sample_projection_dpp(basis, RngStream(1))
-        report = verify_intensities(
-            np.tile(pts, (2, 1)), kernel, part, include_pairs=True, pair_nodes=10
-        )
+        report = verify_intensities(np.tile(pts, (2, 1)), kernel, part, include_pairs=True)
         assert np.all(report.pair_expected > -1e-10), (m, delta)
+
+
+def test_pair_expected_matches_double_quadrature():
+    # E[N_A N_B] = mu_A mu_B - int_A int_B |K(z,w)|^2 w(z) w(w) dA dA, pair by
+    # pair from kernel values on the same 12-node cell rules
+    for n, m, delta in ((3, 2, complex(1.0, 2.0)), (2, 1, complex(-0.3, 0.7))):
+        weight = WeightSpec("hp", m, delta)
+        kernel = finite_kernel(orthonormal_basis(n, m, delta))
+        part = equal_mass_partition(weight, 4, 6, 0.95)
+        pts = 0.9 * np.exp(2j * np.pi * np.arange(2 * n) / (2 * n)).reshape(2, n)
+        report = verify_intensities(pts, kernel, part)
+        z, u = _cell_rules(part, weight, 12)
+        mu = [float(np.sum(u[c] * np.real(np.diag(kernel_eval(kernel, z[c], z[c])))))
+              for c in range(part.n_cells)]
+        ref = []
+        for a, b in report.pair_index:
+            cross = kernel_eval(kernel, z[a], z[b])
+            ref.append(mu[a] * mu[b] - float(np.real(u[a] @ (np.abs(cross) ** 2) @ u[b])))
+        assert len(ref) == 24 * 23 // 2
+        np.testing.assert_allclose(report.pair_expected, ref, rtol=1e-12, atol=0)
 
 
 def test_dpp_sampler_basic_properties():
@@ -139,6 +159,21 @@ def test_dpp_sampler_basic_properties():
     assert proposals > 0
     again = sample_projection_dpp(basis, RngStream(5))
     assert np.array_equal(pts, again)
+
+
+def test_dpp_sampler_plan_lives_on_basis():
+    basis = orthonormal_basis(3, 1, 1.0)
+    assert basis.sampler_plan is None
+    sample_projection_dpp(basis, RngStream(2))
+    assert basis.sampler_plan[0] == 4096
+    assert basis.subbasis(2).sampler_plan is None
+    # a kernel bound far too small is violated, then rebuilt 8x finer
+    mode, k_sup, envelope, z_sing = basis.sampler_plan[1]
+    bad = (512, (mode, 1e-3 * k_sup, 1e-3 * envelope, z_sing))
+    object.__setattr__(basis, "sampler_plan", bad)
+    pts = sample_projection_dpp(basis, RngStream(2))
+    assert basis.sampler_plan[0] == 4096
+    assert np.all(np.abs(pts) < 1.0)
 
 
 def test_dpp_sampler_negative_delta():
@@ -194,6 +229,8 @@ def test_verify_intensities_validation():
     part = equal_mass_partition(WeightSpec("hp", 1, 0.0), 2, 2, 0.9)
     with pytest.raises(ValueError):
         verify_intensities(np.zeros((1, 2), dtype=complex), finite_kernel(basis), part)
+    with pytest.raises(ValueError):
+        verify_intensities(np.zeros((2, 2), dtype=complex), limiting_kernel(1, 0.0), part)
 
 
 def test_convergence_profile_delta0():

@@ -8,6 +8,7 @@ from hplab.sampling import (
     HPParams,
     MHConfig,
     _mh_accept_probability,
+    _rejection_acceptance,
     hp_log_weight,
     sample_ginibre,
     sample_haar_unitary,
@@ -136,6 +137,16 @@ def test_rejection_acceptance_rate():
     p = (dim + 1) / 2 ** (2 * dim)
     se = math.sqrt(p * (1 - p) / proposals)
     assert abs(rate - p) < 5 * se
+
+
+def test_rejection_acceptance_closed_form():
+    # prod_j Gamma(j) Gamma(j+2a) / |Gamma(j+delta)|^2 / (4^(aN) e^(pi N |b|))
+    assert abs(_rejection_acceptance(3, 1 + 0j) - 1 / 16) < 1e-14
+    assert abs(_rejection_acceptance(3, 1 + 2j) / 4.36e-8 - 1) < 1e-3
+    assert abs(_rejection_acceptance(4, 0j) - 1) < 1e-14
+    for dim in (2, 3, 5):
+        # delta = 1: (dim + 1) / 4^dim, the rate measured above
+        assert abs(_rejection_acceptance(dim, 1 + 0j) * 4**dim / (dim + 1) - 1) < 1e-12
 
 
 def test_rejection_determinism():
