@@ -16,7 +16,9 @@ from .sampling import (
     HPParams,
     MHConfig,
     hp_log_weight,
+    hp_log_weights,
     sample_ginibre,
+    sample_haar_unitaries,
     sample_haar_unitary,
     sample_hua_pickrell_mh,
     sample_hua_pickrell_rejection,
@@ -65,7 +67,9 @@ __all__ = [
     "HPParams",
     "MHConfig",
     "hp_log_weight",
+    "hp_log_weights",
     "sample_ginibre",
+    "sample_haar_unitaries",
     "sample_haar_unitary",
     "sample_hua_pickrell_mh",
     "sample_hua_pickrell_rejection",

@@ -251,13 +251,14 @@ def _record_output(outputs: list, dir_path, name: str):
 
 
 def _write_points_csv(path, configs: np.ndarray):
+    # The bytes of csv.writer's default dialect: no field needs quoting.
+    rows = (
+        f"{i},{j},{z.real:.17g},{z.imag:.17g}"
+        for i, row in enumerate(configs.tolist())
+        for j, z in enumerate(row)
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "point_index", "re", "im"])
-        for i in range(configs.shape[0]):
-            for j in range(configs.shape[1]):
-                z = configs[i, j]
-                writer.writerow([i, j, f"{z.real:.17g}", f"{z.imag:.17g}"])
+        fh.write("\r\n".join(["sample_index,point_index,re,im", *rows, ""]))
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:

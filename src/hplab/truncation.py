@@ -17,8 +17,9 @@ from .sampling import (
     HPParams,
     MHConfig,
     _rejection_acceptance,
-    sample_haar_unitary,
-    sample_hua_pickrell_rejection,
+    _rejection_stack,
+    sample_haar_unitaries,
+    sample_haar_unitary,  # noqa: F401  (bench/test_checks.py reads it from here)
 )
 
 __all__ = [
@@ -41,17 +42,19 @@ REJECTION_MAX_PROPOSALS = 1e8
 
 
 def truncate(u: np.ndarray, keep: int) -> np.ndarray:
-    """Top-left ``keep`` x ``keep`` corner of a square matrix, as a copy."""
+    """Top-left ``keep`` x ``keep`` corner of a square matrix, or of each
+    matrix of a stack ``(..., dim, dim)``, as a copy."""
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError("expected a square matrix")
-    if not 1 <= keep <= u.shape[0]:
-        raise ValueError(f"keep must be in [1, {u.shape[0]}], got {keep}")
-    return u[:keep, :keep].copy()
+    if not 1 <= keep <= u.shape[-1]:
+        raise ValueError(f"keep must be in [1, {u.shape[-1]}], got {keep}")
+    return u[..., :keep, :keep].copy()
 
 
 def eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a general complex matrix (unordered)."""
+    """Eigenvalues of a general complex matrix, or of each matrix of a stack
+    ``(..., n, n)`` (unordered, shape ``(..., n)``)."""
     mat = np.asarray(mat, dtype=np.complex128)
     try:
         return np.linalg.eigvals(mat)
@@ -61,14 +64,11 @@ def eigenvalues(mat: np.ndarray) -> np.ndarray:
 
 def _chunk_points(params: HPParams, sampler: str, chunk_rng: RngStream, count: int) -> np.ndarray:
     """Eigenvalue configurations for one chunk of an iid ensemble."""
-    out = np.empty((count, params.n), dtype=np.complex128)
-    for i in range(count):
-        if sampler == "haar":
-            u = sample_haar_unitary(params.dim, chunk_rng)
-        else:
-            u = sample_hua_pickrell_rejection(params.dim, params.delta, chunk_rng)
-        out[i] = eigenvalues(truncate(u, params.n))
-    return out
+    if sampler == "haar":
+        u = sample_haar_unitaries(params.dim, count, chunk_rng)
+    else:
+        u, _ = _rejection_stack(params.dim, params.delta, count, chunk_rng)
+    return eigenvalues(truncate(u, params.n))
 
 
 def _chunk_worker(args) -> np.ndarray:
@@ -128,10 +128,7 @@ def sample_truncation_ensemble(
         cfg = mh or MHConfig()
         chain_rng = rng.substream(0)
         mats = sample_hua_pickrell_mh(params.dim, params.delta, count, cfg, chain_rng)
-        out = np.empty((count, params.n), dtype=np.complex128)
-        for i, u in enumerate(mats):
-            out[i] = eigenvalues(truncate(u, params.n))
-        return out
+        return eigenvalues(truncate(mats, params.n))
 
     n_chunks = (count + ENSEMBLE_CHUNK - 1) // ENSEMBLE_CHUNK
     sizes = [min(ENSEMBLE_CHUNK, count - c * ENSEMBLE_CHUNK) for c in range(n_chunks)]

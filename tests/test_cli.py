@@ -5,8 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from hplab.cli import ExperimentConfig, main, parse_config, run
+from hplab.cli import ExperimentConfig, _write_points_csv, main, parse_config, run
 from hplab.errors import ConfigError
+from hplab.rng import RngStream
 
 
 def _write(tmp_path, name, data):
@@ -96,6 +97,24 @@ def test_run_sample_outputs_and_checksums(tmp_path):
     digest = hashlib.sha256((out / "points.csv").read_bytes()).hexdigest()
     assert recorded["points.csv"]["sha256"] == digest
     assert (out / "manifest.json").exists()
+
+
+def test_points_csv_matches_csv_writer(tmp_path):
+    fixed = np.array([
+        [0j, complex(-0.0, 0.0), -0.5 + 0.25j],
+        [1e-300 - 0j, -1.5e-17 + 3j, complex(0.1, -0.0)],
+    ])
+    drawn = RngStream(5).standard_normal((40, 3)) + 1j * RngStream(6).standard_normal((40, 3))
+    for configs in (fixed, drawn, fixed[:, :1], fixed[:0]):
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["sample_index", "point_index", "re", "im"])
+            for i, row in enumerate(configs):
+                for j, z in enumerate(row):
+                    writer.writerow([i, j, f"{z.real:.17g}", f"{z.imag:.17g}"])
+        _write_points_csv(tmp_path / "points.csv", configs)
+        assert (tmp_path / "points.csv").read_bytes() == ref.read_bytes()
 
 
 def test_run_sample_deterministic_across_workers(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hplab.errors import NumericalError
 from hplab.rng import RngStream
 from hplab.sampling import (
     HPParams,
@@ -10,7 +11,9 @@ from hplab.sampling import (
     _mh_accept_probability,
     _rejection_acceptance,
     hp_log_weight,
+    hp_log_weights,
     sample_ginibre,
+    sample_haar_unitaries,
     sample_haar_unitary,
     sample_hua_pickrell_mh,
     sample_hua_pickrell_rejection,
@@ -63,6 +66,24 @@ def test_haar_determinism():
     assert np.array_equal(a, b)
 
 
+def test_haar_stack_matches_consecutive_draws():
+    rng = RngStream(3)
+    singles = np.array([sample_haar_unitary(4, rng) for _ in range(5)])
+    stack = sample_haar_unitaries(4, 5, RngStream(3))
+    assert stack.shape == (5, 4, 4)
+    assert stack.tobytes() == singles.tobytes()
+    assert sample_haar_unitaries(4, 0, RngStream(3)).shape == (0, 4, 4)
+
+
+def test_haar_singular_ginibre_raises():
+    class ZeroStream:
+        def standard_normal(self, size):
+            return np.zeros(size)
+
+    with pytest.raises(NumericalError):
+        sample_haar_unitaries(3, 4, ZeroStream())
+
+
 def test_haar_eigenvalue_rotation_invariance():
     # eigenvalue arguments of a Haar unitary are uniform on the circle
     rng = RngStream(13)
@@ -101,6 +122,40 @@ def test_log_weight_unit_eigenvalue():
     assert hp_log_weight(u, 1j) == 0.0
 
 
+def _stack_with_unit_eigenvalue(rng):
+    # row 2 has the exact eigenvalue 1, so its log-weight takes the -inf/+inf/0
+    # conventions; the other rows must be unaffected
+    u = sample_haar_unitaries(3, 6, rng)
+    u[2] = np.diag([1.0, -1.0, 1j])
+    return u
+
+
+def test_stacked_log_weights_match_single_matrix():
+    u = _stack_with_unit_eigenvalue(RngStream(19))
+    for delta in (1.0, 0.5, complex(1.0, 2.0), complex(-0.3, 0.7), 1j):
+        got = hp_log_weights(u, delta)
+        ref = np.array([hp_log_weight(x, delta) for x in u])
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(np.delete(got, 2)))
+    assert hp_log_weights(u, 1.0)[2] == float("-inf")
+    assert hp_log_weights(u, complex(1.0, 2.0))[2] == float("-inf")
+    assert hp_log_weights(u, complex(-0.3, 0.7))[2] == float("inf")
+    assert hp_log_weights(u, -0.3)[2] == float("inf")
+    # 1j: the singular factor is dropped, leaving 2 Re(i (log 2 + Log(1 - i))) = pi/2
+    assert abs(hp_log_weights(u, 1j)[2] - math.pi / 2) < 1e-12
+    assert hp_log_weights(u[:0], 1.0).shape == (0,)
+
+
+def test_real_delta_log_weight_matches_eigenvalue_formula():
+    # real delta uses slogdet(I - U); the eigenvalue form 2 delta sum log|1 - lambda|
+    # is the branch-aware path it replaces
+    u = sample_haar_unitaries(5, 50, RngStream(37))
+    lam = np.linalg.eigvals(u)
+    for delta in (1.0, 0.5, -0.3, 2.5):
+        ref = 2.0 * delta * np.sum(np.log(np.abs(1.0 - lam)), axis=1)
+        np.testing.assert_allclose(hp_log_weights(u, delta), ref, rtol=0, atol=1e-10)
+
+
 def test_log_weight_rejects_non_unitary():
     with pytest.raises(ValueError):
         hp_log_weight(np.eye(3) * 1.5, 1.0)
@@ -137,6 +192,19 @@ def test_rejection_acceptance_rate():
     p = (dim + 1) / 2 ** (2 * dim)
     se = math.sqrt(p * (1 - p) / proposals)
     assert abs(rate - p) < 5 * se
+
+
+def test_rejection_proposals_count_to_the_accepted_one():
+    # counts are geometric, so a count of 1 has probability p; a count that
+    # took in the rest of a block of proposals would never be 1
+    dim, delta, count = 3, 1.0, 1600
+    rng = RngStream(29)
+    ones = sum(
+        sample_hua_pickrell_rejection(dim, delta, rng, return_proposals=True)[1] == 1
+        for _ in range(count)
+    )
+    p = (dim + 1) / 2 ** (2 * dim)
+    assert abs(ones - count * p) < 5 * math.sqrt(count * p * (1 - p))
 
 
 def test_rejection_acceptance_closed_form():

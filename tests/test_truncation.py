@@ -73,6 +73,39 @@ def test_ensemble_chunk_prefix_stability():
     assert np.array_equal(small, big[:ENSEMBLE_CHUNK])
 
 
+def test_rejection_ensemble_worker_invariance():
+    params = HPParams(2, 1, 1.0)
+    count = ENSEMBLE_CHUNK + 40
+    a = sample_truncation_ensemble(params, count, "hp_rejection", RngStream(11), workers=1)
+    b = sample_truncation_ensemble(params, count, "hp_rejection", RngStream(11), workers=3)
+    assert np.array_equal(a, b)
+
+
+def test_rejection_ensemble_chunk_prefix_stability():
+    params = HPParams(2, 1, 1.0)
+    small = sample_truncation_ensemble(params, ENSEMBLE_CHUNK, "hp_rejection", RngStream(13))
+    big = sample_truncation_ensemble(params, ENSEMBLE_CHUNK + 100, "hp_rejection", RngStream(13))
+    assert np.array_equal(small, big[:ENSEMBLE_CHUNK])
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2), (5, 3)])
+def test_haar_ensemble_equals_per_draw_loop(n, m):
+    # the stacked chunk must reproduce, bit for bit, one draw, corner and
+    # eigensolve at a time on substream c for chunk c
+    params = HPParams(n, m, 0.0)
+    for count in (1, 255, 256, 257, 600):
+        rng = RngStream(29)
+        ref = []
+        for c in range(-(-count // ENSEMBLE_CHUNK)):
+            chunk = rng.substream(c)
+            for _ in range(min(ENSEMBLE_CHUNK, count - c * ENSEMBLE_CHUNK)):
+                ref.append(eigenvalues(truncate(sample_haar_unitary(n + m, chunk), n)))
+        ref = np.array(ref)
+        got = sample_truncation_ensemble(params, count, "haar", RngStream(29))
+        assert got.shape == (count, n)
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_mh_ensemble_deterministic_and_ignores_workers():
     params = HPParams(2, 1, complex(-0.25, 0.0))
     cfg = MHConfig(burn_in=50, thinning=2)
