@@ -405,60 +405,71 @@ def verify_intensities(
 # exact sampling of the projection DPP
 
 
-class _EnvelopeViolation(Exception):
-    pass
-
-
-def _sampler_plan(basis: PolynomialBasis, boundary_points: int):
-    """Rejection envelope data for the conditional sampler.
-
-    K(z, z) is subharmonic on the disc (sum of |analytic|^2), so its maximum
-    over the closed disc is attained on the boundary; a fine boundary grid
-    with a 10% safety factor bounds it.  The weight is bounded analytically:
-    |1-z|^(2a) <= 2^(2a) for a >= 0, exp(-2 b arg(1-z)) <= exp(pi |b|), and
-    (1-|z|^2)^(m-1) <= 1.
-    """
-    theta = np.linspace(0.0, 2.0 * math.pi, boundary_points, endpoint=False)
-    bnd = np.exp(1j * theta)
-    vals = basis.evaluate(bnd)
-    k_sup = 1.1 * float(np.max(np.sum(np.abs(vals) ** 2, axis=0)))
-    a, b = basis.delta.real, basis.delta.imag
-    phase_bound = math.exp(math.pi * abs(b))
-    if a >= 0:
-        envelope = math.pi * k_sup * 2.0 ** (2.0 * a) * phase_bound
-        return ("uniform", k_sup, envelope, None)
-    # Re delta < 0: the weight blows up at z = 1; mix a uniform proposal with
-    # one concentrated there, with density s^(2a) / z_sing in s = |1 - z|
-    # (normalized over the full s < 2 annulus sector, which contains the disc).
-    z_sing = math.pi * 2.0 ** (2.0 * a + 2.0) / (a + 1.0)
-    envelope = 2.0 * k_sup * phase_bound * z_sing
-    return ("mixture", k_sup, envelope, z_sing)
-
-
+_PHI_BINS = 64
 _PROPOSAL_BATCH = 64
 
 
-def _propose_batch(mode: str, z_sing, a: float, rng: RngStream):
-    """Fixed-consumption proposal batch: (points, densities, accept uniforms)."""
-    if mode == "uniform":
-        draws = rng.random((3, _PROPOSAL_BATCH))
-        r = np.sqrt(draws[1])
-        z = r * np.exp(2j * math.pi * draws[2])
-        q = np.full(_PROPOSAL_BATCH, 1.0 / math.pi)
-        return z, q, draws[0]
-    draws = rng.random((6, _PROPOSAL_BATCH))
-    take_uniform = draws[1] < 0.5
-    r = np.sqrt(draws[2])
-    z_u = r * np.exp(2j * math.pi * draws[3])
-    s = 2.0 * draws[4] ** (1.0 / (2.0 * a + 2.0))
-    phi = math.pi * (2.0 * draws[5] - 1.0)
-    z_s = 1.0 - s * np.exp(1j * phi)
-    z = np.where(take_uniform, z_u, z_s)
-    inside = np.abs(z) < 1.0
-    q = np.zeros(_PROPOSAL_BATCH)
-    sd = np.abs(1.0 - z[inside])
-    q[inside] = 0.5 / math.pi + 0.5 * sd ** (2.0 * a) / z_sing
-    return z, q, draws[0]
+def _log_phi_density(phi, gam: float, b: float):
+    """log f(phi) for f(phi) = cos(phi)^gam exp(-2 b phi), the angular law of w dA."""
+    return gam * np.log(np.cos(phi)) - 2.0 * b * phi
+
+
+def _phi_table(m: int, delta: complex):
+    """Envelope h >= f over ``_PHI_BINS`` equal bins of (-pi/2, pi/2).
+
+    f is log-concave with its peak at phi* = -atan(2b / (2a + 2m)), so on a
+    bin it is largest at phi* if the bin holds it and at the larger end value
+    otherwise.  Returns (log h per bin, cumulative bin probabilities).
+    """
+    gam, b = 2.0 * delta.real + 2.0 * m, delta.imag
+    edges = np.linspace(-0.5 * math.pi, 0.5 * math.pi, _PHI_BINS + 1)
+    ends = _log_phi_density(edges, gam, b)
+    log_h = np.maximum(ends[:-1], ends[1:])
+    peak = -math.atan(2.0 * b / gam)
+    k = min(int((peak + 0.5 * math.pi) / (math.pi / _PHI_BINS)), _PHI_BINS - 1)
+    log_h[k] = _log_phi_density(peak, gam, b)
+    cdf = np.cumsum(np.exp(log_h - log_h[k]))
+    return log_h, cdf / cdf[-1]
+
+
+def _sampler_plan(basis: PolynomialBasis):
+    """(k_sup, phi table) of the conditional sampler for ``basis``.
+
+    k_sup is 1.1 times the maximum of K(z, z) on N = max(4096, 8n) points of
+    the unit circle, and it bounds K(z, z) on the whole closed disc:
+
+    * K(z, z) is subharmonic (a sum of |analytic|^2), so its maximum over the
+      disc is attained on the circle;
+    * there it is a nonnegative trigonometric polynomial T of degree n - 1.
+      Bernstein's inequality, applied twice, gives |T''| <= (n-1)^2 max T;
+      at the maximiser T' = 0 and the nearest grid point lies within pi/N,
+      so max T <= grid max / (1 - (pi (n-1) / N)^2 / 2) <= 1.084 grid max.
+    """
+    count = max(4096, 8 * basis.n)
+    vals = basis.evaluate(np.exp(2j * math.pi * np.arange(count) / count))
+    k_sup = 1.1 * float(np.max(np.sum(np.abs(vals) ** 2, axis=0)))
+    return k_sup, _phi_table(basis.m, basis.delta)
+
+
+def _propose_batch(table, m: int, delta: complex, rng: RngStream):
+    """Fixed-consumption proposal batch: (points, f/h thinning, accept uniforms).
+
+    In the polar coordinates z = 1 - s e^(i phi) of
+    :func:`hplab.weights.disc_weight_nodes`, w dA is proportional to
+    f(phi) t^(2a+m) (1-t)^(m-1) dphi dt with s = 2 cos(phi) t.  phi is drawn
+    from the envelope h of ``table`` and t ~ Beta(2a+m+1, m) as the product
+    of U_j^(1/(2a+m+1+j)) over j < m; accepting with probability f/h then
+    leaves a draw from w / int w.
+    """
+    log_h, cdf = table
+    gam, alpha = 2.0 * delta.real + 2.0 * m, 2.0 * delta.real + m + 1.0
+    draws = rng.random((3 + m, _PROPOSAL_BATCH))
+    k = np.searchsorted(cdf, draws[1], side="right")
+    phi = (k + draws[2]) * (math.pi / _PHI_BINS) - 0.5 * math.pi
+    thin = np.exp(_log_phi_density(phi, gam, delta.imag) - log_h[k])
+    t = np.prod(draws[3:] ** (1.0 / (alpha + np.arange(m)))[:, None], axis=0)
+    z = 1.0 - 2.0 * np.cos(phi) * t * np.exp(1j * phi)
+    return z, thin, draws[0]
 
 
 def sample_projection_dpp(
@@ -469,68 +480,58 @@ def sample_projection_dpp(
 ):
     """One exact draw of the n-point projection DPP for ``basis``.
 
-    Sequential conditional sampling: the i-th point is drawn from the exact
-    conditional density (K(z,z) - sum_l |psi_l(z)|^2) w(z) given the previous
-    points, by rejection with an analytically valid envelope.  If a proposal
-    ever exceeds the envelope, the kernel bound is rebuilt on an 8x finer
-    boundary grid and the configuration restarted; a second violation raises
+    Sequential conditional sampling (Hough, Krishnapur, Peres and Virag): the
+    i-th point is drawn from the conditional density
+    (K(z,z) - sum_l |psi_l(z)|^2) w(z) given the previous points, by
+    rejection from proposals drawn exactly from w itself
+    (:func:`_propose_batch`).  A proposal is kept with probability
+    (K(z,z) - sum_l |psi_l(z)|^2) / k_sup * f(phi) / h(phi), where k_sup is
+    the proven bound of :func:`_sampler_plan`; the weight and its normaliser
+    never enter.  A ratio above 1 + 1e-9 means the bound failed and raises
     :class:`NumericalError`.
     """
     n = basis.n
-    weight = WeightSpec("hp", basis.m, basis.delta)
-    a = basis.delta.real
     if basis.sampler_plan is None:
-        object.__setattr__(basis, "sampler_plan", (4096, _sampler_plan(basis, 4096)))
+        object.__setattr__(basis, "sampler_plan", _sampler_plan(basis))
+    k_sup, table = basis.sampler_plan
 
-    for round_ in range(2):
-        bnd_pts, (mode, k_sup, envelope, z_sing) = basis.sampler_plan
-        try:
-            points = np.empty(n, dtype=np.complex128)
-            feats = np.empty((n, n), dtype=np.complex128)
-            proposals = 0
-            for i in range(n):
-                while True:
-                    z, q, u = _propose_batch(mode, z_sing, a, rng)
-                    proposals += _PROPOSAL_BATCH
-                    inside = np.abs(z) < 1.0
-                    vals = basis.evaluate(z[inside])
-                    kdiag = np.sum(np.abs(vals) ** 2, axis=0)
-                    if i:
-                        amp = feats[:i] @ vals
-                        kdiag = kdiag - np.sum(np.abs(amp) ** 2, axis=0)
-                    rho = np.zeros(_PROPOSAL_BATCH)
-                    rho[inside] = np.clip(kdiag, 0.0, None) * weight_eval(weight, z[inside])
-                    ratio = np.zeros(_PROPOSAL_BATCH)
-                    ok = inside & (q > 0)
-                    ratio[ok] = rho[ok] / (envelope * q[ok])
-                    if np.any(ratio > 1.0 + 1e-9):
-                        raise _EnvelopeViolation
-                    hits = np.flatnonzero(u < ratio)
-                    if hits.size:
-                        idx = int(hits[0])
-                        break
-                points[i] = z[idx]
-                # Gram-Schmidt step in coefficient space: the new conditional
-                # direction is c[k] = conj(P_k(z_i)).
-                c = np.conj(basis.evaluate(points[i]))
-                for l in range(i):
-                    c = c - (feats[l].conj() @ c) * feats[l]
-                nrm2 = float(np.real(c.conj() @ c))
-                if nrm2 <= 1e-14 * max(k_sup, 1.0):
-                    raise NumericalError("degenerate conditional in DPP sampler")
-                feats[i] = c / math.sqrt(nrm2)
-            if return_proposals:
-                return points, proposals
-            return points
-        except _EnvelopeViolation:
-            if round_ == 1:
+    points = np.empty(n, dtype=np.complex128)
+    feats = np.empty((n, n), dtype=np.complex128)
+    proposals = 0
+    for i in range(n):
+        while True:
+            z, thin, u = _propose_batch(table, basis.m, basis.delta, rng)
+            proposals += _PROPOSAL_BATCH
+            inside = np.abs(z) < 1.0
+            vals = basis.evaluate(z[inside])
+            kdiag = np.sum(np.abs(vals) ** 2, axis=0)
+            if i:
+                amp = feats[:i] @ vals
+                kdiag = kdiag - np.sum(np.abs(amp) ** 2, axis=0)
+            ratio = np.zeros(_PROPOSAL_BATCH)
+            ratio[inside] = np.clip(kdiag, 0.0, None) / k_sup * thin[inside]
+            if np.any(ratio > 1.0 + 1e-9):
                 raise NumericalError(
-                    "DPP rejection envelope violated even after refinement; "
-                    "kernel bound unreliable"
+                    f"DPP acceptance ratio {np.max(ratio):.6g} exceeds 1: the kernel "
+                    f"bound {k_sup:.6g} does not hold"
                 )
-            finer = bnd_pts * 8
-            object.__setattr__(basis, "sampler_plan", (finer, _sampler_plan(basis, finer)))
-    raise AssertionError("unreachable")
+            hits = np.flatnonzero(u < ratio)
+            if hits.size:
+                idx = int(hits[0])
+                break
+        points[i] = z[idx]
+        # Gram-Schmidt step in coefficient space: the new conditional
+        # direction is c[k] = conj(P_k(z_i)).
+        c = np.conj(basis.evaluate(points[i]))
+        for l in range(i):
+            c = c - (feats[l].conj() @ c) * feats[l]
+        nrm2 = float(np.real(c.conj() @ c))
+        if nrm2 <= 1e-14 * max(k_sup, 1.0):
+            raise NumericalError("degenerate conditional in DPP sampler")
+        feats[i] = c / math.sqrt(nrm2)
+    if return_proposals:
+        return points, proposals
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -112,12 +112,13 @@ def sample_truncation_ensemble(
         raise ValueError("hp_rejection requires Re delta >= 0")
     if sampler == "hp_rejection":
         acceptance = _rejection_acceptance(params.dim, params.delta)
-        if count / acceptance > REJECTION_MAX_PROPOSALS:
+        # compared as a product: the acceptance underflows to 0.0 for large U(N)
+        if count > REJECTION_MAX_PROPOSALS * acceptance:
+            need = f"about {count / acceptance:.3g}" if acceptance > 0 else "unboundedly many"
             raise NumericalError(
                 f"hp_rejection on U({params.dim}) at delta = {params.delta} accepts "
-                f"{acceptance:.3g} of its Haar proposals: {count} samples need about "
-                f"{count / acceptance:.3g} proposals, over the limit of "
-                f"{REJECTION_MAX_PROPOSALS:.0e}; use hp_mh"
+                f"{acceptance:.3g} of its Haar proposals: {count} samples need {need} "
+                f"proposals, over the limit of {REJECTION_MAX_PROPOSALS:.0e}; use hp_mh"
             )
     if count == 0:
         return np.empty((0, params.n), dtype=np.complex128)

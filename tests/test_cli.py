@@ -297,6 +297,16 @@ def test_hopeless_rejection_run_refused(tmp_path, capsys):
     assert "4.36e-08" in err and "9.17e+10" in err
 
 
+def test_rejection_run_with_underflowing_acceptance_refused(tmp_path, capsys):
+    # on U(120) at delta = 1+2i the acceptance underflows to 0.0; the run is
+    # still refused with exit 3, not a division by zero
+    path = _write(tmp_path, "cfg.json", _base_sample(tmp_path, n=100, m=20, delta=[1.0, 2.0],
+                                                     samples=10))
+    assert main(["sample", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "accepts 0 of its Haar proposals" in err and "unboundedly many" in err
+
+
 def test_mh_sampler_through_cli(tmp_path):
     cfg = parse_config(
         _base_sample(

@@ -7,6 +7,9 @@ import pytest
 from hplab.dpp import (
     CellPartition,
     _cell_rules,
+    _phi_table,
+    _propose_batch,
+    _sampler_plan,
     bonferroni_threshold,
     convergence_profile,
     default_convergence_grid,
@@ -24,8 +27,10 @@ from hplab.orthopoly import (
     limiting_kernel,
     orthonormal_basis,
 )
+from hplab.errors import NumericalError
 from hplab.rng import RngStream
-from hplab.weights import WeightSpec, disc_weight_nodes, weight_eval
+from hplab.stats import chi_square_gof
+from hplab.weights import WeightSpec, disc_weight_nodes, moment_series, weight_eval
 
 
 def test_partition_validation():
@@ -165,15 +170,54 @@ def test_dpp_sampler_plan_lives_on_basis():
     basis = orthonormal_basis(3, 1, 1.0)
     assert basis.sampler_plan is None
     sample_projection_dpp(basis, RngStream(2))
-    assert basis.sampler_plan[0] == 4096
+    plan = basis.sampler_plan
+    sample_projection_dpp(basis, RngStream(3))
+    assert basis.sampler_plan is plan
     assert basis.subbasis(2).sampler_plan is None
-    # a kernel bound far too small is violated, then rebuilt 8x finer
-    mode, k_sup, envelope, z_sing = basis.sampler_plan[1]
-    bad = (512, (mode, 1e-3 * k_sup, 1e-3 * envelope, z_sing))
-    object.__setattr__(basis, "sampler_plan", bad)
-    pts = sample_projection_dpp(basis, RngStream(2))
-    assert basis.sampler_plan[0] == 4096
-    assert np.all(np.abs(pts) < 1.0)
+    # a kernel bound far too small is reported, not repaired
+    k_sup, table = plan
+    object.__setattr__(basis, "sampler_plan", (1e-3 * k_sup, table))
+    with pytest.raises(NumericalError, match="kernel bound"):
+        sample_projection_dpp(basis, RngStream(2))
+
+
+DELTA_SET = (0.0, 1.0, complex(1.0, 2.0), complex(-0.3, 0.0), complex(-0.3, 0.7))
+
+
+@pytest.mark.parametrize("m", (1, 3))
+@pytest.mark.parametrize("delta", DELTA_SET)
+def test_dpp_proposals_follow_the_reference_weight(m, delta):
+    # proposals thinned by f/h alone are draws from w / int w: their counts
+    # in 24 equal-mass cells and the outer annulus match the cell masses
+    # (level 1e-4 per case, 1e-3 over the ten)
+    weight = WeightSpec("hp", m, delta)
+    part = equal_mass_partition(weight, 4, 6, 0.95)
+    _, u = _cell_rules(part, weight, 24)
+    cells = np.sum(u, axis=1)
+    masses = np.append(cells, moment_series(0, 0, m, delta).real - cells.sum())
+    table = _phi_table(m, complex(delta))
+    rng = RngStream(41)
+    kept = []
+    for _ in range(500):
+        z, thin, accept = _propose_batch(table, m, complex(delta), rng)
+        kept.append(z[accept < thin])
+    idx = part.cell_of(np.concatenate(kept))
+    counts = np.bincount(np.where(idx < 0, part.n_cells, idx), minlength=part.n_cells + 1)
+    _, p = chi_square_gof(counts, masses)
+    assert p > 1e-4, (m, delta, p)
+
+
+def test_dpp_kernel_bound_holds_on_a_finer_circle():
+    # k_sup >= max K(z, z) on a circle grid 16x finer than the plan's
+    for m in (1, 3):
+        for delta in DELTA_SET:
+            full = orthonormal_basis(48, m, delta)
+            for n in (1, 6, 48):
+                basis = full.subbasis(n)
+                k_sup, _ = _sampler_plan(basis)
+                count = 16 * max(4096, 8 * n)
+                vals = basis.evaluate(np.exp(2j * np.pi * np.arange(count) / count))
+                assert k_sup >= np.max(np.sum(np.abs(vals) ** 2, axis=0)), (n, m, delta)
 
 
 def test_dpp_sampler_negative_delta():
