@@ -11,20 +11,21 @@ description of the eigenvalue process:
   moments computed from a kernel by quadrature.
 * :func:`convergence_profile` measures the distance from the finite-n kernel
   to its scaling limit on a fixed grid.
-* :func:`gauge_identity_check` verifies in extended precision that the limit
-  kernel and the weighted Bergman kernel give identical determinantal
-  correlations (they differ by a conjugation that cancels against the
-  reference weights).
+* :func:`gauge_identity_check` verifies in 34-digit ``decimal`` arithmetic
+  that the limit kernel and the weighted Bergman kernel give identical
+  determinantal correlations (they differ by a conjugation that cancels
+  against the reference weights).
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
-import mpmath as mp
 import numpy as np
-from scipy import stats as st
+from scipy import special as sp
 
 from .errors import NumericalError, check_params
 from .rng import RngStream
@@ -239,7 +240,7 @@ def bonferroni_threshold(level: float, n_tests: int) -> float:
         raise ValueError("level must be in (0, 1)")
     if n_tests < 1:
         raise ValueError("n_tests must be >= 1")
-    return float(st.norm.ppf(1.0 - level / (2.0 * n_tests)))
+    return float(sp.ndtri(1.0 - level / (2.0 * n_tests)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -588,36 +589,73 @@ def convergence_profile(
 # gauge invariance of determinantal correlations
 
 
-def _mp_det(rows) -> "mp.mpc":
-    """Determinant of a small square list-of-lists matrix by pivoted LU.
+# Working precision of the gauge check: 34 significant digits, as IEEE
+# decimal128.  The Bergman matrices of CLI gauge tuples reach equilibrated
+# condition numbers of 2e12, which leave 80-bit long doubles (about 19
+# digits) errors up to 1e-8.
+_GAUGE_CONTEXT = decimal.Context(prec=34)
 
-    Same arithmetic as ``mp.det`` but without matrix-class overhead, which
-    dominates at the sizes used here.
+
+def _to_decimal(x) -> np.ndarray:
+    """Object array of the exact ``Decimal`` values of a float array."""
+    x = np.asarray(x, dtype=float)
+    return np.array([Decimal(v) for v in x.ravel().tolist()], dtype=object).reshape(x.shape)
+
+
+def _cmul(a, b):
+    """Elementwise product of complex arrays held as (real, imaginary) pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _bergman_decimal(z: np.ndarray, power: int):
+    """(1 - z_i conj(z_j))^(-power) as ``Decimal`` (real, imaginary) arrays.
+
+    1 - z_i conj(z_j) is formed from the exact values of the float parts and
+    rounded once per operation in the current decimal context.
     """
-    p = len(rows)
-    a = [row[:] for row in rows]
-    det = mp.mpc(1)
+    x, y = _to_decimal(z.real), _to_decimal(z.imag)
+    g = (1 - (x[:, None] * x + y[:, None] * y), x[:, None] * y - y[:, None] * x)
+    g_norm = g[0] ** 2 + g[1] ** 2
+    inv_g = (g[0] / g_norm, -g[1] / g_norm)
+    out = inv_g
+    for _ in range(power - 1):
+        out = _cmul(out, inv_g)
+    return out
+
+
+def _decimal_dets(re: np.ndarray, im: np.ndarray):
+    """Determinants of a stack ``(s, p, p)`` of complex ``Decimal`` matrices.
+
+    The matrices are given by object arrays of their real and imaginary
+    parts.  LU with partial pivoting, each matrix pivoting on its own, in the
+    current decimal context; returns the (real, imaginary) parts, shape (s,).
+    A matrix whose pivot column vanishes exactly gets determinant 0.
+    """
+    re, im = re.copy(), im.copy()
+    s, p = re.shape[:2]
+    stack = np.arange(s)
+    det = (np.full(s, Decimal(1), dtype=object), np.full(s, Decimal(0), dtype=object))
     for k in range(p):
-        _, pk = max((abs(a[r][k]), r) for r in range(k, p))
-        if pk != k:
-            a[k], a[pk] = a[pk], a[k]
-            det = -det
-        akk = a[k][k]
-        if akk == 0:
-            return mp.mpc(0)
-        det *= akk
-        inv = 1 / akk
-        ak = a[k]
-        for r in range(k + 1, p):
-            f = a[r][k] * inv
-            if f:
-                ar = a[r]
-                for c in range(k + 1, p):
-                    ar[c] -= f * ak[c]
+        piv = k + np.argmax(re[:, k:, k] ** 2 + im[:, k:, k] ** 2, axis=1)
+        for a in (re, im):
+            a[stack, k], a[stack, piv] = a[stack, piv], a[stack, k]
+        pivot = (re[:, k, k], im[:, k, k])
+        det = _cmul(det, pivot)
+        flip = piv != k
+        det[0][flip], det[1][flip] = -det[0][flip], -det[1][flip]
+        norm = pivot[0] ** 2 + pivot[1] ** 2
+        norm[norm == 0] = Decimal(1)
+        inv = (pivot[0] / norm, -pivot[1] / norm)
+        f = _cmul((re[:, k + 1:, k], im[:, k + 1:, k]), (inv[0][:, None], inv[1][:, None]))
+        upd = _cmul(
+            (f[0][:, :, None], f[1][:, :, None]), (re[:, None, k, k + 1:], im[:, None, k, k + 1:])
+        )
+        re[:, k + 1:, k + 1:] -= upd[0]
+        im[:, k + 1:, k + 1:] -= upd[1]
     return det
 
 
-def gauge_identity_check(points, m: int, delta: complex, dps: int = 25) -> float:
+def gauge_identity_check(points, m: int, delta: complex) -> float:
     """Relative gap between the two kernel descriptions of the limit process.
 
     For points z_1..z_p in the open disc, computes both
@@ -625,47 +663,54 @@ def gauge_identity_check(points, m: int, delta: complex, dps: int = 25) -> float
         det[K_lim(z_i, z_j)] * prod_i w_hp(z_i)      and
         det[K_bergman(z_i, z_j)] * prod_i w_bergman(z_i)
 
-    in ``dps``-digit arithmetic and returns |lhs - rhs| / max(|lhs|, |rhs|).
-    The two kernels differ by the conjugation D K D^(-1) with
-    D = diag((1-z_i)^(-delta)), which leaves determinants of this product
-    form invariant, so the exact answer is 0.  Tuples with repeated points
-    make both sides vanish; they return 0 by convention.
+    and returns |lhs - rhs| / max(|lhs|, |rhs|).  The two kernels differ by
+    the conjugation D K D^(-1) with D = diag((1-z_i)^(-delta)), which leaves
+    determinants of this product form invariant, so the exact answer is 0.
+    Tuples with repeated points make both sides vanish; they return 0 by
+    convention.
+
+    The Bergman entries (1 - z_i conj(z_j))^-(m+1), the scaling of their rows
+    and columns into K_lim, both determinants and the final difference are
+    computed in 34-digit ``decimal`` arithmetic, into which every float
+    converts exactly.  The gauge factors (1-z_i)^(-delta) and the weights
+    stay in float64: they enter only as diagonal scalings, so their rounding
+    moves each side by about p ulps and is not multiplied by the matrices'
+    condition number.  That is also why the gauge factors are multiplied
+    into the rows and then the columns in ``decimal``: a float64 outer
+    product would round every entry on its own.
     """
     delta = check_params(m, delta)
-    pts = [complex(p) for p in np.asarray(points, dtype=np.complex128).ravel()]
-    if not pts:
+    z = np.asarray(points, dtype=np.complex128).ravel()
+    if not z.size:
         raise ValueError("need at least one point")
-    if any(abs(p) >= 1.0 for p in pts):
+    if np.any(np.abs(z) >= 1.0):
         raise ValueError("points must lie in the open unit disc")
-    if len(set(pts)) < len(pts):
+    if len(set(z.tolist())) < z.size:
         return 0.0
 
-    p = len(pts)
-    with mp.workdps(dps):
-        zs = [mp.mpc(v) for v in pts]
-        conj_zs = [mp.conj(z) for z in zs]
-        mm = mp.mpf(m)
-        dd = mp.mpc(delta)
-        gauge_left = [(1 - z) ** (-dd) for z in zs]
-        gauge_right = [(1 - zc) ** (-mp.conj(dd)) for zc in conj_zs]
-        scale = mm / mp.pi
-        berg = [[(1 - zs[i] * conj_zs[j]) ** (-(m + 1)) for j in range(p)] for i in range(p)]
-        lim = [
-            [scale * gauge_left[i] * berg[i][j] * gauge_right[j] for j in range(p)]
-            for i in range(p)
-        ]
-        det_berg = _mp_det(berg)
-        det_lim = _mp_det(lim)
-        w_lhs = mp.mpf(1)
-        w_rhs = mp.mpf(1)
-        aa, bb = mp.mpf(delta.real), mp.mpf(delta.imag)
-        for z in zs:
-            radial = (1 - abs(z) ** 2) ** (mm - 1)
-            w_lhs *= abs(1 - z) ** (2 * aa) * mp.e ** (-2 * bb * mp.arg(1 - z)) * radial
-            w_rhs *= (mm / mp.pi) * radial
-        lhs = det_lim * w_lhs
-        rhs = det_berg * w_rhs
-        denom = max(abs(lhs), abs(rhs))
+    one_minus = 1.0 - z
+    gauge = one_minus ** (-delta)
+    left = (m / math.pi) * gauge
+    w_gauge = np.abs(one_minus) ** (2.0 * delta.real) * np.exp(
+        -2.0 * delta.imag * np.angle(one_minus)
+    )
+    with decimal.localcontext(_GAUGE_CONTEXT):
+        berg = _bergman_decimal(z, m + 1)
+        lim = _cmul(_to_decimal([left.real[:, None], left.imag[:, None]]), berg)
+        lim = _cmul(lim, _to_decimal([gauge.real, -gauge.imag]))
+        det = _decimal_dets(np.stack([lim[0], berg[0]]), np.stack([lim[1], berg[1]]))
+
+        # w_hp = |1-z|^(2a) e^(-2b arg(1-z)) (1-|z|^2)^(m-1) and
+        # w_bergman = (m/pi) (1-|z|^2)^(m-1); their common factor
+        # (1-|z|^2)^(m-1) cancels in the relative gap and is left out
+        w_lhs = Decimal(1)
+        for w in _to_decimal(w_gauge):
+            w_lhs *= w
+        w_rhs = Decimal(m / math.pi) ** z.size
+        lhs = (det[0][0] * w_lhs, det[1][0] * w_lhs)
+        rhs = (det[0][1] * w_rhs, det[1][1] * w_rhs)
+        gap = (lhs[0] - rhs[0]) ** 2 + (lhs[1] - rhs[1]) ** 2
+        denom = max(lhs[0] ** 2 + lhs[1] ** 2, rhs[0] ** 2 + rhs[1] ** 2)
         if denom == 0:
             return 0.0
-        return float(abs(lhs - rhs) / denom)
+        return float((gap / denom).sqrt())

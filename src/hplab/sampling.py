@@ -40,6 +40,10 @@ __all__ = [
 # proposals on U(3), about 0.5 MB per complex stack.
 PROPOSAL_BLOCK_ENTRIES = 2**15
 
+# Expected Haar proposals above which a rejection run is refused up front; the
+# largest run in the test suite (2e4 samples on U(4) at delta = 1) needs 1e6.
+REJECTION_MAX_PROPOSALS = 1e8
+
 
 @dataclass(frozen=True)
 class HPParams:
@@ -200,6 +204,21 @@ def _rejection_acceptance(dim: int, delta: complex) -> float:
     return math.exp(log_moment - _rejection_log_bound(dim, delta))
 
 
+def _check_rejection_cost(dim: int, delta: complex, count: int) -> None:
+    """Refuse ``count`` rejection samples on U(dim) that are expected to need
+    more than ``REJECTION_MAX_PROPOSALS`` Haar proposals, with a
+    :class:`NumericalError` that names the acceptance and the cost."""
+    acceptance = _rejection_acceptance(dim, delta)
+    # compared as a product: the acceptance underflows to 0.0 for large U(N)
+    if count > REJECTION_MAX_PROPOSALS * acceptance:
+        need = f"about {count / acceptance:.3g}" if acceptance > 0 else "unboundedly many"
+        raise NumericalError(
+            f"hp_rejection on U({dim}) at delta = {delta} accepts "
+            f"{acceptance:.3g} of its Haar proposals: {count} samples need {need} "
+            f"proposals, over the limit of {REJECTION_MAX_PROPOSALS:.0e}; use hp_mh"
+        )
+
+
 def _rejection_stack(dim: int, delta: complex, count: int, rng: RngStream):
     """``count`` exact Hua-Pickrell samples on U(dim) by rejection from Haar.
 
@@ -207,11 +226,9 @@ def _rejection_stack(dim: int, delta: complex, count: int, rng: RngStream):
     up to and including the last accepted one.  Proposals come in blocks of
     about the expected number still needed, capped at
     ``PROPOSAL_BLOCK_ENTRIES`` matrix entries; each proposal has one uniform,
-    and acceptances are kept in proposal order.
+    and acceptances are kept in proposal order.  The callers check
+    Re delta >= 0 and the cost.
     """
-    delta = complex(delta)
-    if delta.real < 0:
-        raise ValueError("rejection sampling requires Re delta >= 0")
     log_bound = _rejection_log_bound(dim, delta)
     acceptance = _rejection_acceptance(dim, delta)
     cap = max(1, PROPOSAL_BLOCK_ENTRIES // dim**2)
@@ -238,10 +255,16 @@ def sample_hua_pickrell_rejection(
 ):
     """Exact Hua-Pickrell sample on U(dim) by rejection from Haar.
 
-    Requires Re delta >= 0 so the density ratio is bounded.  With
-    ``return_proposals`` the number of Haar proposals consumed, up to and
-    including the accepted one, is returned alongside the sample.
+    Requires Re delta >= 0 so the density ratio is bounded.  A draw expected
+    to need more than ``REJECTION_MAX_PROPOSALS`` Haar proposals raises
+    :class:`NumericalError` before any sampling.  With ``return_proposals``
+    the number of Haar proposals consumed, up to and including the accepted
+    one, is returned alongside the sample.
     """
+    delta = complex(delta)
+    if delta.real < 0:
+        raise ValueError("rejection sampling requires Re delta >= 0")
+    _check_rejection_cost(dim, delta, 1)
     u, proposals = _rejection_stack(dim, delta, 1, rng)
     if return_proposals:
         return u[0], proposals

@@ -16,7 +16,7 @@ from .rng import RngStream
 from .sampling import (
     HPParams,
     MHConfig,
-    _rejection_acceptance,
+    _check_rejection_cost,
     _rejection_stack,
     sample_haar_unitaries,
     sample_haar_unitary,  # noqa: F401  (bench/test_checks.py reads it from here)
@@ -35,10 +35,6 @@ SAMPLERS = ("haar", "hp_rejection", "hp_mh")
 # Ensembles are generated in fixed-size chunks, each on its own RNG substream,
 # so results are identical for any worker count.
 ENSEMBLE_CHUNK = 256
-
-# Expected Haar proposals above which a rejection run is refused up front; the
-# largest run in the test suite (2e4 samples on U(4) at delta = 1) needs 1e6.
-REJECTION_MAX_PROPOSALS = 1e8
 
 
 def truncate(u: np.ndarray, keep: int) -> np.ndarray:
@@ -99,8 +95,9 @@ def sample_truncation_ensemble(
     ``c`` consuming substream ``c`` of ``rng``; ``workers`` > 1 distributes
     chunks over processes without changing the output.  The MH sampler is a
     single sequential chain (substream 0) and ignores ``workers``.
-    A rejection run expected to need over ``REJECTION_MAX_PROPOSALS`` Haar
-    proposals raises :class:`NumericalError` before any sampling.
+    A rejection run expected to need over
+    :data:`hplab.sampling.REJECTION_MAX_PROPOSALS` Haar proposals raises
+    :class:`NumericalError` before any sampling.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
@@ -111,15 +108,7 @@ def sample_truncation_ensemble(
     if sampler == "hp_rejection" and params.delta.real < 0:
         raise ValueError("hp_rejection requires Re delta >= 0")
     if sampler == "hp_rejection":
-        acceptance = _rejection_acceptance(params.dim, params.delta)
-        # compared as a product: the acceptance underflows to 0.0 for large U(N)
-        if count > REJECTION_MAX_PROPOSALS * acceptance:
-            need = f"about {count / acceptance:.3g}" if acceptance > 0 else "unboundedly many"
-            raise NumericalError(
-                f"hp_rejection on U({params.dim}) at delta = {params.delta} accepts "
-                f"{acceptance:.3g} of its Haar proposals: {count} samples need {need} "
-                f"proposals, over the limit of {REJECTION_MAX_PROPOSALS:.0e}; use hp_mh"
-            )
+        _check_rejection_cost(params.dim, params.delta, count)
     if count == 0:
         return np.empty((0, params.n), dtype=np.complex128)
 

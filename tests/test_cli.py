@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hplab
 from hplab.cli import ExperimentConfig, _write_points_csv, main, parse_config, run
 from hplab.errors import ConfigError
 from hplab.rng import RngStream
@@ -324,3 +329,18 @@ def test_mh_sampler_through_cli(tmp_path):
         rows = list(csv.reader(fh))
     pts = np.array([complex(float(r[2]), float(r[3])) for r in rows[1:]])
     assert np.all(np.abs(pts) < 1.0)
+
+
+def test_import_loads_no_scipy_stats_or_mpmath():
+    # a fresh `import hplab.cli` pulls in neither module: they dominated its
+    # set-up time and hplab needs neither
+    code = (
+        "import sys, hplab.cli\n"
+        "loaded = [k for k in ('scipy.stats', 'mpmath') if k in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(hplab.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,12 +1,17 @@
+import decimal
 import json
 import math
 
 import numpy as np
 import pytest
 
+from hplab.cli import _gauge_tuple
 from hplab.dpp import (
+    _GAUGE_CONTEXT,
     CellPartition,
+    _bergman_decimal,
     _cell_rules,
+    _decimal_dets,
     _phi_table,
     _propose_batch,
     _sampler_plan,
@@ -309,6 +314,28 @@ def test_gauge_identity_random_tuples():
             p = 2 + int(rng.random() * 5)
             pts = 0.95 * np.sqrt(rng.random(p)) * np.exp(2j * np.pi * rng.random(p))
             assert gauge_identity_check(pts, m, delta) <= 1e-10, (m, delta)
+
+
+# A CLI gauge tuple of 12 points whose Cauchy matrix [1 / (1 - z_i conj(z_j))]
+# has condition number 3.6e13: float64 LU reaches 5.9e-4 on its determinant,
+# an 80-bit long double LU 1.5e-7.
+_HARD_TUPLE = _gauge_tuple(RngStream(14710).substream(12), 12)
+
+
+def test_decimal_det_of_cauchy_matrix_matches_closed_form():
+    z = _HARD_TUPLE
+    with decimal.localcontext(_GAUGE_CONTEXT):
+        re, im = _bergman_decimal(z, 1)
+        det_re, det_im = _decimal_dets(re[None], im[None])
+    det = complex(float(det_re[0]), float(det_im[0]))
+    i, j = np.triu_indices(z.size, 1)
+    closed = np.prod(np.abs(z[i] - z[j]) ** 2) / np.prod(1.0 - np.outer(z, z.conj())).real
+    assert abs(det / closed - 1.0) <= 1e-11
+
+
+def test_gauge_identity_on_an_ill_conditioned_tuple():
+    # an 80-bit long double LU reaches 8.6e-9 here
+    assert gauge_identity_check(_HARD_TUPLE, 1, 0.0) <= 1e-13
 
 
 def test_gauge_identity_degenerate_and_validation():

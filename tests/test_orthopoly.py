@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hplab.dpp import default_convergence_grid
 from hplab.orthopoly import (
     PolynomialBasis,
     bergman_kernel,
@@ -179,6 +180,18 @@ def test_projection_determinant_identity():
     )
     expected = np.prod(lead**2) * vand
     assert abs(det - expected) < 1e-10 * expected
+
+
+def test_delta0_limit_kernel_matches_finite_kernel_at_n40():
+    # at delta = 0 the finite kernel converges geometrically on |z|, |w| <= 0.6
+    # (measured 3e-16 to 5e-15 at n = 40); the error is taken relative to the
+    # finite kernel, so a limit kernel off by a constant factor cannot pass
+    grid = default_convergence_grid()
+    for m in (1, 2, 3):
+        k_n = kernel_eval(finite_kernel(closed_form_basis_delta0(40, m)), grid, grid)
+        k_lim = kernel_eval(limiting_kernel(m, 0.0), grid, grid)
+        rel = np.max(np.abs(k_n - k_lim)) / np.max(np.abs(k_n))
+        assert rel <= 1e-12, (m, rel)
 
 
 def test_limit_kernel_reproducing_property():

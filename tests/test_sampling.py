@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -176,6 +177,15 @@ def test_mh_accept_probability_infinities():
 def test_rejection_requires_nonnegative_real_part():
     with pytest.raises(ValueError):
         sample_hua_pickrell_rejection(3, complex(-0.3, 0.0), RngStream(0))
+
+
+def test_hopeless_rejection_draw_refused():
+    # on U(120) at delta = 1+2i the acceptance underflows to 0.0, so one draw
+    # would need unboundedly many proposals; it is refused before sampling
+    t0 = time.perf_counter()
+    with pytest.raises(NumericalError, match="unboundedly many"):
+        sample_hua_pickrell_rejection(120, 1 + 2j, RngStream(0))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_rejection_acceptance_rate():
