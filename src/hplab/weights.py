@@ -15,6 +15,13 @@ two independent ways: a series with an Euler-Maclaurin accelerated tail
 (machine precision, used by the orthogonalizer) and an adapted Gauss-Jacobi
 quadrature (used as a cross-check oracle).  Both handle the boundary
 singularity of the weight at z = 1 exactly.
+
+The series is evaluated for a whole batch of index pairs at once: the Gram
+matrix is one call over its lower triangle, and :func:`moment_series` is the
+one-pair case of the same code.  Its tail integral never subtracts large
+log-gamma values, so it holds for every Re delta > -1/2, and every entry is
+checked against its own error estimate; a non-finite entry, or one whose
+estimate exceeds the tolerance, raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -109,122 +116,186 @@ def _psi2(z):
     return -(zi**2) - zi**3 - zi**4 * (0.5 - zi**2 * (1 / 6 - zi**2 * (1 / 6)))
 
 
-@lru_cache(maxsize=None)
-def _leggauss32():
-    return np.polynomial.legendre.leggauss(32)
+# Fewest exact terms summed before the Euler-Maclaurin tail takes over.
+_HEAD_STEPS = 80
+# Gauss-Jacobi nodes of the tail integral.
+_TAIL_NODES = 32
+# The pair axis of a batch is cut into chunks of at most this many
+# (pair, node) points, which bounds the tail's working memory.
+_PAIR_NODE_BUDGET = 2**18
+# Most terms kept of the expansion of a log-gamma difference.
+_LGAMMA_TERMS = 40
 
 
 @lru_cache(maxsize=None)
-def _moment_series_cached(j: int, k: int, m: int, delta: complex, tol: float) -> complex:
-    # Swapping (j, k) conjugates the integral.
-    if k > j:
-        return complex(np.conj(_moment_series_cached(k, j, m, delta, tol)))
+def _lgamma_ratio_coeffs(alpha: complex) -> tuple[np.ndarray, float]:
+    """Coefficients of ``lgamma(s+alpha) - lgamma(s+1) - (alpha-1) log s``.
+
+    DLMF 5.11.13 expands it as ``sum_{k>=2} c_k s^(1-k)`` with
+    ``c_k = (-1)^k (B_k(alpha) - B_k(1)) / (k (k-1))``.  The coefficients
+    come highest order first, down to the last one whose term exceeds 1e-20
+    at the smallest argument used, s = 80; the second value is the size there
+    of the last term computed, which bounds what the expansion leaves out.
+    """
+    bern = sp.bernoulli(_LGAMMA_TERMS)
+    orders = np.arange(2, _LGAMMA_TERMS + 1)
+    coeffs = np.empty(len(orders), dtype=np.complex128)
+    for i, k in enumerate(orders):
+        powers = np.arange(k, -1, -1)
+        binom = sp.comb(k, np.arange(k + 1)) * bern[: k + 1]
+        bk = np.sum(binom * (alpha**powers - 1.0))
+        coeffs[i] = (-1) ** k * bk / (k * (k - 1))
+    sizes = np.abs(coeffs) * float(_HEAD_STEPS) ** (1 - orders)
+    kept = np.flatnonzero(sizes >= 1e-20)
+    coeffs = coeffs[: kept[-1] + 1 if len(kept) else 0]
+    return coeffs[::-1].copy(), float(sizes[-1])
+
+
+def _lgamma_ratio_remainder(coeffs: np.ndarray, x):
+    """``sum_k c_k x^(k-1)`` at x = 1/s, by Horner; ``coeffs`` highest first."""
+    acc = np.zeros(np.shape(x), dtype=np.complex128)
+    for c in coeffs:
+        acc = (acc + c) * x
+    return acc
+
+
+def _tail_sum(j: np.ndarray, k: np.ndarray, m: int, delta: complex, T: np.ndarray):
+    """``sum_{t >= T} u_t / u_T`` and its error estimate, relative to u_T.
+
+    Euler-Maclaurin: the integral of u(t)/u(T) over t >= T plus the B2 and B4
+    derivative corrections at T.  With p = 2a + 2 + m the decay exponent of
+    |u_t|, and y = T/t (that is x = y^(p-1) = (t/T)^-(p-1)),
+
+        int_T^inf u(t)/u(T) dt = T int_0^1 y^(p-2) h(y) dy,
+
+    where h = (t/T)^p u(t)/u(T).  log h is a sum of three brackets
+    lgamma(s+alpha) - lgamma(s+beta) at s = t - j, t - k and t, with O(1)
+    offsets, each taken relative to its value at t = T.  A bracket is
+    (alpha-beta) log s plus an expansion in 1/s (the third one,
+    lgamma(t+1) - lgamma(t+m+1), is -sum_i log(t+i) exactly), so no large
+    log-gamma values cancel and 1/t = y/T never overflows, for every
+    Re delta > -1/2.  h is analytic in y up to y = T/j >= 2 (or y = -T/m, if
+    nearer), and the Gauss-Jacobi rule for the weight y^(p-2) integrates it to
+    about rho^(-2N), rho being the Bernstein-ellipse parameter of that point.
+    """
     a = delta.real
+    dconj = delta.conjugate()
+    T = T.astype(np.float64)
+    p = 2.0 * a + 2.0 + m
 
-    # Terminating case: (1-z)^delta is a polynomial when delta is a
-    # nonnegative real integer, and the moment is a finite sum.
-    if delta.imag == 0.0 and a >= 0 and a == round(a):
-        d_int = int(round(a))
-        tot = 0.0
-        for t in range(j, min(k + d_int, j + d_int) + 1):
-            tot += (
-                math.comb(d_int, t - j)
-                * math.comb(d_int, t - k)
-                * (-1) ** ((t - j) + (t - k))
-                * math.exp(math.lgamma(t + 1) - math.lgamma(t + m + 1))
-            )
-        return complex(math.pi * math.factorial(m - 1) * tot)
-
-    # General term of the hypergeometric-type sum over t >= j:
-    #   u_t = [(-delta)_(t-j)/(t-j)!] [(-conj delta)_(t-k)/(t-k)!] t!/(t+m)!
-    # summed exactly (rational one-term recurrence) up to T, then completed by
-    # Euler-Maclaurin: the terms decay only like t^-(2a+2+m), so truncation
-    # alone cannot reach machine precision.
-    T = j + 80
-    dconj = np.conj(delta)
-    u = complex(1.0)
-    for i in range(j - k):
-        u *= (-dconj + i) / (i + 1)
-    u *= math.exp(math.lgamma(j + 1) - math.lgamma(j + m + 1))
-    head = 0.0 + 0.0j
-    head_abs = 0.0
-    t = j
-    while t < T:
-        head += u
-        head_abs += abs(u)
-        u *= ((t - j - delta) * (t - k - dconj) * (t + 1)) / (
-            (t + 1 - j) * (t + 1 - k) * (t + 1 + m)
-        )
-        t += 1
-    uT = u
-
-    lg = sp.loggamma
-
-    def phi(tv):
-        tv = np.asarray(tv, dtype=np.complex128)
-        return (
-            lg(tv - j - delta)
-            + lg(tv - k - dconj)
-            + lg(tv + 1)
-            - lg(tv - j + 1)
-            - lg(tv - k + 1)
-            - lg(tv + m + 1)
-        )
-
-    phi_T = phi(T)
-    p = 2 * a + 2 + m  # algebraic decay exponent of |u_t|; p - 1 > m >= 1
-    v_max = 40.0 / (p - 1)
-
-    # int_T^inf u(t) dt with t = T e^v, panels of Gauss-Legendre 32
-    n_pan = max(4, int(np.ceil(v_max / 2.0)))
-    xg, wg = _leggauss32()
-    edges = np.linspace(0.0, v_max, n_pan + 1)
-    integral = 0.0 + 0.0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
-        tvals = T * np.exp(v)
-        f = np.exp(phi(tvals) - phi_T)
-        integral += 0.5 * (hi - lo) * np.sum(wg * f * tvals)
+    x, w = sp.roots_jacobi(_TAIL_NODES, 0.0, p - 2.0)
+    w = w * 2.0 ** (1.0 - p)
+    inv_t = 0.5 * (1.0 + x)[None, :] / T[:, None]
+    coeffs, lg_err = _lgamma_ratio_coeffs(-delta)
+    log_h = np.zeros(inv_t.shape, dtype=np.complex128)
+    for idx, dlt, cf in ((j, delta, coeffs), (k, dconj, np.conj(coeffs))):
+        c = idx[:, None].astype(np.float64)
+        log_h += (-dlt - 1.0) * (np.log1p(-c * inv_t) - np.log1p(-c / T[:, None]))
+        log_h += _lgamma_ratio_remainder(cf, inv_t / (1.0 - c * inv_t))
+        log_h -= _lgamma_ratio_remainder(cf, 1.0 / (T - idx))[:, None]
+    for i in range(1, m + 1):
+        log_h -= np.log1p(i * inv_t) - np.log1p(i / T)[:, None]
+    integral = T * (np.exp(log_h) @ w)
 
     # log-derivative corrections at T (Euler-Maclaurin with B2 and B4 terms)
-    args_plus = np.array([T - j - delta, T - k - dconj, T + 1], dtype=np.complex128)
-    args_minus = np.array([T - j + 1, T - k + 1, T + m + 1], dtype=np.complex128)
-    d1 = np.sum(sp.digamma(args_plus)) - np.sum(sp.digamma(args_minus))
-    d2 = np.sum(_psi1(args_plus)) - np.sum(_psi1(args_minus))
-    d3 = np.sum(_psi2(args_plus)) - np.sum(_psi2(args_minus))
-    fp = d1
+    args_plus = (T - j - delta, T - k - dconj, T + 1)
+    args_minus = (T - j + 1, T - k + 1, T + m + 1)
+    d1 = sum(sp.digamma(z) for z in args_plus) - sum(sp.digamma(z) for z in args_minus)
+    d2 = sum(_psi1(z) for z in args_plus) - sum(_psi1(z) for z in args_minus)
+    d3 = sum(_psi2(z) for z in args_plus) - sum(_psi2(z) for z in args_minus)
     fppp = d3 + 3 * d1 * d2 + d1**3
-    tail_rel = integral + 0.5 - (1 / 6) / 2.0 * fp - (-1 / 30) / 24.0 * fppp
-    tail = uT * tail_rel
+    tail_rel = integral + 0.5 - (1 / 6) / 2.0 * d1 - (-1 / 30) / 24.0 * fppp
 
-    scale = math.pi * math.factorial(m - 1)
-    result = scale * (head + tail)
+    # Error model: next Euler-Maclaurin correction, the quadrature bound
+    # rho^(-N) (a square root of the rate, as h grows towards y = T/j), and
+    # the truncated log-gamma expansions.
+    deriv_scale = (np.abs(d1) + np.abs(d2) ** 0.5 + np.abs(d3) ** (1.0 / 3.0)) ** 5
+    z0 = np.minimum(2.0 * T / np.maximum(j, 1) - 1.0, 2.0 * T / m + 1.0)
+    rho = z0 + np.sqrt(z0 * z0 - 1.0)
+    est = (1 / 30240.0) * deriv_scale + np.abs(integral) * (rho ** -_TAIL_NODES + 4.0 * lg_err)
+    return tail_rel, est
 
-    # Error model: next Euler-Maclaurin correction, integral truncation at
-    # v_max, and accumulated rounding.
-    deriv_scale = (abs(d1) + abs(d2) ** 0.5 + abs(d3) ** (1.0 / 3.0)) ** 5
-    est = scale * (
-        abs(uT) * ((1 / 30240.0) * deriv_scale + T * math.exp(-40.0))
-        + 1e-16 * (head_abs + abs(tail))
-    )
-    if est > tol * max(1.0, abs(result)):
+
+def _moment_batch(j: np.ndarray, k: np.ndarray, m: int, delta: complex):
+    """Moments ``c_{j,k}`` for index arrays with j >= k, and their error estimates.
+
+    The moment is pi (m-1)! sum_{t >= j} u_t with the hypergeometric-type term
+
+        u_t = [(-delta)_(t-j)/(t-j)!] [(-conj delta)_(t-k)/(t-k)!] t!/(t+m)!,
+
+    summed exactly by its rational one-term recurrence up to T = j + H, with
+    H = max(80, largest j), then completed by Euler-Maclaurin
+    (:func:`_tail_sum`): the terms decay only like t^-(2a+2+m), so truncation
+    alone cannot reach machine precision.  When delta is a nonnegative integer
+    d the terms vanish beyond t = j + d, and the recurrence alone gives the
+    finite sum.  The estimates cover the next Euler-Maclaurin term, the tail
+    quadrature and expansions, and rounding.
+    """
+    a = delta.real
+    dconj = delta.conjugate()
+    terminating = delta.imag == 0.0 and a >= 0 and a == round(a)
+    steps = int(a) + 1 if terminating else max(_HEAD_STEPS, int(j.max()))
+    d = j - k
+    dmax = int(d.max())
+    ratios = (np.arange(dmax) - dconj) / np.arange(1, dmax + 1)
+    u = np.cumprod(np.concatenate(([1.0 + 0j], ratios)))[d]
+    # u_j (m-1)!, carrying the moment's factor (m-1)!: j!/(j+m)! (m-1)! = 1/(m C(j+m, m))
+    u = u / (m * sp.binom(j + m, m))
+    head = np.zeros(len(j), dtype=np.complex128)
+    head_abs = np.zeros(len(j))
+    for s in range(steps):
+        t = j + s
+        head += u
+        head_abs += np.abs(u)
+        u = u * ((s - delta) * (t - k - dconj) * (t + 1)) / ((s + 1) * (t + 1 - k) * (t + 1 + m))
+
+    if terminating:
+        return math.pi * head, math.pi * 1e-16 * head_abs
+    tail_rel, tail_est = _tail_sum(j, k, m, delta, j + steps)
+    tail = u * tail_rel
+    est = np.abs(u) * tail_est + 1e-16 * (head_abs + np.abs(tail))
+    return math.pi * (head + tail), math.pi * est
+
+
+def _moments(j, k, m: int, delta: complex, tol: float) -> np.ndarray:
+    """Moments ``c_{j,k}`` for index arrays with j >= k.
+
+    Raises :class:`NumericalError`, naming the worst entry, unless every
+    result is finite with error estimate within ``tol`` relative to it.
+    """
+    j = np.asarray(j, dtype=np.int64)
+    k = np.asarray(k, dtype=np.int64)
+    vals = np.empty(len(j), dtype=np.complex128)
+    est = np.empty(len(j))
+    chunk = _PAIR_NODE_BUDGET // _TAIL_NODES
+    for lo in range(0, len(j), chunk):
+        sl = slice(lo, lo + chunk)
+        vals[sl], est[sl] = _moment_batch(j[sl], k[sl], m, delta)
+    ratio = est / (tol * np.maximum(1.0, np.abs(vals)))
+    ratio[~np.isfinite(vals) | ~np.isfinite(ratio)] = np.inf
+    worst = int(np.argmax(ratio))
+    if ratio[worst] > 1.0:
         raise NumericalError(
-            f"moment series error estimate {est:.3e} exceeds tolerance for "
-            f"j={j} k={k} m={m} delta={delta}"
+            f"moment series error estimate {est[worst]:.3e} exceeds tolerance for "
+            f"j={j[worst]} k={k[worst]} m={m} delta={delta}"
         )
-    return complex(result)
+    return vals
 
 
 def moment_series(j: int, k: int, m: int, delta: complex, tol: float = 1e-14) -> complex:
-    """Moment ``c_{j,k}`` of the disc weight, by exact summation.
+    """Moment ``c_{j,k}`` of the disc weight, by the series of :func:`gram_matrix`.
 
-    Raises :class:`NumericalError` if the internal error estimate exceeds
-    ``tol`` relative to the result.
+    Raises :class:`NumericalError` if the result is not finite or its error
+    estimate exceeds ``tol`` relative to it.
     """
     delta = _check_moment_args(j, k, m, delta)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _moment_series_cached(int(j), int(k), int(m), delta, float(tol))
+    j, k = int(j), int(k)
+    # Swapping (j, k) conjugates the integral.
+    if k > j:
+        return complex(np.conj(_moments([k], [j], int(m), delta, float(tol))[0]))
+    return complex(_moments([j], [k], int(m), delta, float(tol))[0])
 
 
 def _jacobi_ratio(x: np.ndarray) -> np.ndarray:
@@ -293,12 +364,11 @@ def moment_quadrature(
 
 @lru_cache(maxsize=None)
 def _gram_cached(n: int, m: int, delta: complex, tol: float) -> np.ndarray:
+    jj, kk = np.tril_indices(n)
+    vals = _moments(jj, kk, m, delta, tol)
     g = np.empty((n, n), dtype=np.complex128)
-    for jj in range(n):
-        for kk in range(jj + 1):
-            val = _moment_series_cached(jj, kk, m, delta, tol)
-            g[jj, kk] = val
-            g[kk, jj] = np.conj(val)
+    g[jj, kk] = vals
+    g[kk, jj] = np.conj(vals)
     g.setflags(write=False)
     return g
 

@@ -151,6 +151,16 @@ def test_run_basis_csv(tmp_path):
     assert len(rows) == 2 + 4
 
 
+def test_main_basis_near_the_lower_delta_bound(tmp_path, capsys):
+    # m = 1, Re delta = -0.45: the moment series once returned NaN here and
+    # the command exited 1 with a traceback
+    path = _write(tmp_path, "cfg.json", {"command": "basis", "seed": 0, "n": 4, "m": 1,
+                                         "delta": -0.45, "output_dir": str(tmp_path / "out")})
+    assert main(["basis", "--config", path]) == 0
+    assert (tmp_path / "out" / "basis.csv").exists()
+    capsys.readouterr()
+
+
 def test_run_verify_dpp_passes(tmp_path):
     cfg = parse_config(
         {

@@ -4,9 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hplab import weights
+from hplab.errors import NumericalError
+from hplab.orthopoly import orthonormal_basis
 from hplab.weights import (
     GRAM_MAX_N,
     WeightSpec,
+    _gram_cached,
     disc_weight_nodes,
     gram_matrix,
     moment_quadrature,
@@ -143,3 +147,59 @@ def test_moment_argument_validation():
         moment_series(0, 0, 1, -0.6)
     with pytest.raises(ValueError):
         moment_quadrature(0, 0, 1, 0.0, radial_nodes=8)
+
+
+# Spread entries of the n = 48 Gram matrix, corners included.
+GRAM48_ENTRIES = (
+    [(47, 0), (47, 47), (0, 0), (47, 46), (46, 1), (1, 0), (1, 1)]
+    + [(j, (7 * j) % (j + 1)) for j in range(3, 46, 3)]
+    + [(40, 40), (33, 20), (24, 12)]
+)
+
+
+@pytest.mark.parametrize(
+    "m, delta",
+    [(m, d) for m in (1, 4) for d in (complex(1, 2), -0.3, complex(-0.3, 0.7))]
+    + [(1, d) for d in (-0.33, -0.4, -0.45, complex(-0.49, 0.5))],
+)
+def test_gram_matrix_matches_quadrature_at_n48(m, delta):
+    # the tail holds for every Re delta > -1/2; m = 1 below Re delta = -0.3
+    # once gave silently wrong entries, NaN or a huge value
+    g = gram_matrix(48, m, delta)
+    assert len(GRAM48_ENTRIES) >= 25
+    for j, k in GRAM48_ENTRIES:
+        q = moment_quadrature(j, k, m, delta, 256, 1024)
+        assert abs(g[j, k] - q) <= 1e-10 * abs(q), (j, k, g[j, k], q)
+
+
+def test_moment_series_at_large_degree():
+    # far beyond the Gram cap the head runs to T = 2j, so the tail stays exact
+    s = moment_series(1000, 1000, 1, complex(-0.3, 0.7), tol=1e-12)
+    q = moment_quadrature(1000, 1000, 1, complex(-0.3, 0.7), 512, 4096)
+    assert abs(s - q) <= 1e-10 * abs(q)
+
+
+def test_gram_matrix_tolerance_refused():
+    with pytest.raises(NumericalError, match=r"j=\d+ k=\d+ m=1 delta=\(1\+2j\)"):
+        gram_matrix(48, 1, complex(1.0, 2.0), tol=1e-20)
+
+
+def test_gram_matrix_chunks_agree(monkeypatch):
+    # the pair axis is cut into chunks of a fixed (pair, node) budget
+    delta = complex(-0.3, 0.7)
+    whole = gram_matrix(20, 2, delta)
+    _gram_cached.cache_clear()
+    monkeypatch.setattr(weights, "_PAIR_NODE_BUDGET", 7 * weights._TAIL_NODES)
+    try:
+        chunked = gram_matrix(20, 2, delta)
+    finally:
+        _gram_cached.cache_clear()
+    assert np.allclose(chunked, whole, rtol=1e-15, atol=0)
+
+
+def test_basis_orthonormal_near_the_lower_delta_bound():
+    basis = orthonormal_basis(4, 1, -0.45)
+    z, w = disc_weight_nodes(1, -0.45, 96, 256)
+    vals = basis.evaluate(z)
+    inner = (vals * w) @ vals.conj().T
+    assert np.max(np.abs(inner - np.eye(4))) <= 1e-9
