@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,12 +35,12 @@ from .dpp import (
     gauge_identity_check,
     verify_intensities,
 )
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_params
 from .orthopoly import finite_kernel, orthonormal_basis, write_basis_csv
 from .rng import RngStream
-from .sampling import HPParams, MHConfig
-from .truncation import SAMPLERS, sample_truncation_ensemble
-from .weights import WeightSpec
+from .sampling import HPParams, MHConfig, check_sampler
+from .truncation import sample_truncation_ensemble
+from .weights import WeightSpec, check_basis_size
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
 
@@ -54,6 +54,8 @@ _KEYS = {
     "gauge-check": _COMMON_KEYS | {"tuples", "max_points"},
     "converge": _COMMON_KEYS | {"n_list"},
 }
+_MH_KEYS = tuple(f.name for f in fields(MHConfig))
+_CELL_KEYS = ("rings", "sectors", "r_max")
 
 
 @dataclass(frozen=True)
@@ -77,15 +79,40 @@ class ExperimentConfig:
     output_dir: str = "."
 
 
-def _require(data: dict, key: str, typ, code="bad-type"):
+def _typed(val, name: str, typ, code="bad-type", field=None):
+    """``val`` once it has type ``typ``; a JSON boolean is not a number."""
+    if isinstance(val, bool) != (typ is bool) or not isinstance(val, typ):
+        raise ConfigError(code, f"{name} must be {typ.__name__}", field=field or name)
+    return val
+
+
+def _require(data: dict, key: str, typ):
     if key not in data:
         raise ConfigError("missing-field", f"required field {key!r} is missing", field=key)
-    val = data[key]
-    if typ is int and isinstance(val, bool):
-        raise ConfigError(code, f"field {key!r} must be {typ.__name__}", field=key)
-    if not isinstance(val, typ):
-        raise ConfigError(code, f"field {key!r} must be {typ.__name__}", field=key)
+    return _typed(data[key], f"field {key!r}", typ, field=key)
+
+
+def _int_at_least(val, name: str, lo: int, field: str) -> int:
+    if not isinstance(val, int) or isinstance(val, bool) or val < lo:
+        raise ConfigError("bad-value", f"{name} must be an integer >= {lo}", field=field)
     return val
+
+
+def _in_unit_interval(val, name: str, field: str) -> float:
+    if not isinstance(val, (int, float)) or isinstance(val, bool) or not 0 < val < 1:
+        raise ConfigError("bad-value", f"{name} must lie in (0, 1)", field=field)
+    return float(val)
+
+
+def _section(data: dict, key: str, allowed) -> dict:
+    """The JSON object under ``key`` (empty when absent), holding only ``allowed`` keys."""
+    sub = data.get(key, {})
+    if not isinstance(sub, dict):
+        raise ConfigError("bad-type", f"{key} must be an object", field=key)
+    bad = set(sub) - set(allowed)
+    if bad:
+        raise ConfigError("unknown-field", f"unknown {key} field {sorted(bad)[0]!r}", field=key)
+    return sub
 
 
 def _parse_delta(raw) -> complex:
@@ -105,9 +132,14 @@ def _parse_delta(raw) -> complex:
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a configuration dictionary strictly.
 
-    Unknown fields, wrong types, out-of-range values, and inconsistent
-    sampler/delta combinations all raise :class:`ConfigError` with a
-    machine-readable ``code``.
+    The parser checks the JSON shape: unknown and missing fields and wrong
+    types.  Parameter rules belong to the library and are called from here:
+    ``check_params`` for m and delta, ``HPParams`` for the ensemble size,
+    ``check_basis_size`` for n wherever a Gram matrix is built,
+    ``check_sampler`` for the sampler and its default, and ``MHConfig`` for
+    the chain schedule.  Absent optional fields take the defaults of
+    :class:`ExperimentConfig` and :class:`MHConfig`.  Every failure raises
+    :class:`ConfigError` with a machine-readable ``code``.
     """
     if not isinstance(data, dict):
         raise ConfigError("bad-type", "configuration must be a JSON object")
@@ -124,104 +156,60 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not 0 <= seed < 2**64:
         raise ConfigError("bad-value", "seed must be an unsigned 64-bit integer", field="seed")
     m = _require(data, "m", int)
-    if m < 1:
-        raise ConfigError("bad-value", "m must be >= 1", field="m")
     if "delta" not in data:
         raise ConfigError("missing-field", "required field 'delta' is missing", field="delta")
-    delta = _parse_delta(data["delta"])
-    if delta.real <= -0.5:
-        raise ConfigError("delta-range", f"Re delta must exceed -1/2, got {delta}", field="delta")
-
+    delta = check_params(m, _parse_delta(data["delta"]))
     kw: dict = {"command": command, "seed": seed, "m": m, "delta": delta}
 
-    output_dir = data.get("output_dir", ".")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("bad-type", "output_dir must be a nonempty string", field="output_dir")
-    kw["output_dir"] = output_dir
+    if "output_dir" in data:
+        kw["output_dir"] = _typed(data["output_dir"], "output_dir", str)
+        if not kw["output_dir"]:
+            raise ConfigError("bad-type", "output_dir must be a nonempty string",
+                              field="output_dir")
 
     if command in ("sample", "basis", "verify-dpp"):
-        n = _require(data, "n", int)
-        if n < 1:
-            raise ConfigError("bad-value", "n must be >= 1", field="n")
-        kw["n"] = n
+        kw["n"] = _require(data, "n", int)
+        if command == "sample":
+            HPParams(kw["n"], m, delta)
+        else:
+            check_basis_size(kw["n"])
 
     if command in ("sample", "verify-dpp"):
-        samples = _require(data, "samples", int)
-        if samples < 1:
-            raise ConfigError("bad-value", "samples must be >= 1", field="samples")
-        kw["samples"] = samples
-
-        sampler = data.get("sampler", "hp_rejection" if delta.real >= 0 else "hp_mh")
-        if not isinstance(sampler, str) or sampler not in SAMPLERS:
-            raise ConfigError("bad-value", f"sampler must be one of {SAMPLERS}", field="sampler")
-        if sampler == "haar" and delta != 0:
-            raise ConfigError("sampler-delta", "the haar sampler requires delta = 0",
-                              field="sampler")
-        if sampler == "hp_rejection" and delta.real < 0:
-            raise ConfigError("sampler-delta", "hp_rejection requires Re delta >= 0",
-                              field="sampler")
-        kw["sampler"] = sampler
-
-        mh_raw = data.get("mh", {})
-        if not isinstance(mh_raw, dict):
-            raise ConfigError("bad-type", "mh must be an object", field="mh")
-        bad = set(mh_raw) - {"burn_in", "thinning"}
-        if bad:
-            raise ConfigError("unknown-field", f"unknown mh field {sorted(bad)[0]!r}", field="mh")
-        burn_in = mh_raw.get("burn_in", 1000)
-        thinning = mh_raw.get("thinning", 5)
-        for name, val, lo in (("burn_in", burn_in, 0), ("thinning", thinning, 1)):
-            if not isinstance(val, int) or isinstance(val, bool) or val < lo:
-                raise ConfigError("bad-value", f"mh.{name} must be an integer >= {lo}", field="mh")
-        kw["mh"] = MHConfig(burn_in=burn_in, thinning=thinning)
+        kw["samples"] = _int_at_least(_require(data, "samples", int), "samples", 1, "samples")
+        if "sampler" in data:
+            _typed(data["sampler"], "sampler", str, "bad-value")
+        kw["sampler"] = check_sampler(data.get("sampler"), delta)
+        mh = _section(data, "mh", _MH_KEYS)
+        for name, val in mh.items():
+            _typed(val, f"mh.{name}", int, "bad-value", field="mh")
+        kw["mh"] = MHConfig(**mh)
 
     if command == "verify-dpp":
-        cells = data.get("cells", {})
-        if not isinstance(cells, dict):
-            raise ConfigError("bad-type", "cells must be an object", field="cells")
-        bad = set(cells) - {"rings", "sectors", "r_max"}
-        if bad:
-            raise ConfigError("unknown-field", f"unknown cells field {sorted(bad)[0]!r}",
-                              field="cells")
-        rings = cells.get("rings", 4)
-        sectors = cells.get("sectors", 6)
-        r_max = cells.get("r_max", 0.95)
-        for name, val in (("rings", rings), ("sectors", sectors)):
-            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-                raise ConfigError("bad-value", f"cells.{name} must be an integer >= 1",
-                                  field="cells")
-        if not isinstance(r_max, (int, float)) or isinstance(r_max, bool) or not 0 < r_max < 1:
-            raise ConfigError("bad-value", "cells.r_max must lie in (0, 1)", field="cells")
-        kw["rings"], kw["sectors"], kw["r_max"] = rings, sectors, float(r_max)
-
-        level = data.get("level", 1e-3)
-        if not isinstance(level, (int, float)) or isinstance(level, bool) or not 0 < level < 1:
-            raise ConfigError("bad-value", "level must lie in (0, 1)", field="level")
-        kw["level"] = float(level)
-        pairs = data.get("pairs", True)
-        if not isinstance(pairs, bool):
-            raise ConfigError("bad-type", "pairs must be a boolean", field="pairs")
-        kw["pairs"] = pairs
+        cells = _section(data, "cells", _CELL_KEYS)
+        for name in ("rings", "sectors"):
+            if name in cells:
+                kw[name] = _int_at_least(cells[name], f"cells.{name}", 1, "cells")
+        if "r_max" in cells:
+            kw["r_max"] = _in_unit_interval(cells["r_max"], "cells.r_max", "cells")
+        if "level" in data:
+            kw["level"] = _in_unit_interval(data["level"], "level", "level")
+        if "pairs" in data:
+            kw["pairs"] = _typed(data["pairs"], "pairs", bool)
 
     if command == "gauge-check":
-        tuples = data.get("tuples", 100)
-        max_points = data.get("max_points", 12)
-        if not isinstance(tuples, int) or isinstance(tuples, bool) or tuples < 1:
-            raise ConfigError("bad-value", "tuples must be an integer >= 1", field="tuples")
-        if not isinstance(max_points, int) or isinstance(max_points, bool) or max_points < 2:
-            raise ConfigError("bad-value", "max_points must be an integer >= 2",
-                              field="max_points")
-        kw["tuples"], kw["max_points"] = tuples, max_points
+        if "tuples" in data:
+            kw["tuples"] = _int_at_least(data["tuples"], "tuples", 1, "tuples")
+        if "max_points" in data:
+            kw["max_points"] = _int_at_least(data["max_points"], "max_points", 2, "max_points")
 
-    if command == "converge":
-        n_list = data.get("n_list", [10, 20, 40])
-        if (
-            not isinstance(n_list, list)
-            or not n_list
-            or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in n_list)
-        ):
-            raise ConfigError("bad-value", "n_list must be a nonempty list of integers >= 1",
+    if command == "converge" and "n_list" in data:
+        n_list = data["n_list"]
+        if not isinstance(n_list, list) or not n_list:
+            raise ConfigError("bad-value", "n_list must be a nonempty list of integers",
                               field="n_list")
+        for n in n_list:
+            check_basis_size(_typed(n, "n_list entry", int, "bad-value", field="n_list"),
+                             field="n_list")
         kw["n_list"] = tuple(sorted(set(n_list)))
 
     return ExperimentConfig(**kw)
@@ -262,29 +250,21 @@ def _write_points_csv(path, configs: np.ndarray):
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = {
-        "command": cfg.command,
-        "seed": cfg.seed,
-        "m": cfg.m,
-        "delta": [cfg.delta.real, cfg.delta.imag],
-        "output_dir": cfg.output_dir,
-    }
-    if cfg.command in ("sample", "basis", "verify-dpp"):
-        echo["n"] = cfg.n
-    if cfg.command in ("sample", "verify-dpp"):
-        echo["samples"] = cfg.samples
-        echo["sampler"] = cfg.sampler
-        echo["mh"] = {"burn_in": cfg.mh.burn_in, "thinning": cfg.mh.thinning}
-    if cfg.command == "verify-dpp":
-        echo["cells"] = {"rings": cfg.rings, "sectors": cfg.sectors, "r_max": cfg.r_max}
-        echo["level"] = cfg.level
-        echo["pairs"] = cfg.pairs
-    if cfg.command == "gauge-check":
-        echo["tuples"] = cfg.tuples
-        echo["max_points"] = cfg.max_points
-    if cfg.command == "converge":
-        echo["n_list"] = list(cfg.n_list)
-    return echo
+    """The configuration as JSON, one entry per field of ``_KEYS[cfg.command]``;
+    :func:`parse_config` reads it back to ``cfg``."""
+
+    def value(key):
+        if key == "delta":
+            return [cfg.delta.real, cfg.delta.imag]
+        if key == "mh":
+            return {name: getattr(cfg.mh, name) for name in _MH_KEYS}
+        if key == "cells":
+            return {name: getattr(cfg, name) for name in _CELL_KEYS}
+        if key == "n_list":
+            return list(cfg.n_list)
+        return getattr(cfg, key)
+
+    return {key: value(key) for key in sorted(_KEYS[cfg.command])}
 
 
 def _gauge_tuple(rng: RngStream, max_points: int) -> np.ndarray:
@@ -323,6 +303,15 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> tuple[int, dict]:
     extra: dict = {}
 
     if cfg.command in ("sample", "verify-dpp"):
+        if cfg.command == "verify-dpp":
+            # Kernel and cells first: they use no randomness, and a Gram
+            # matrix the moment series refuses ends the run before sampling.
+            t = time.perf_counter()
+            kernel = finite_kernel(orthonormal_basis(cfg.n, cfg.m, cfg.delta))
+            partition = equal_mass_partition(
+                WeightSpec("hp", cfg.m, cfg.delta), cfg.rings, cfg.sectors, cfg.r_max
+            )
+            timings["verification"] = time.perf_counter() - t
         params = HPParams(cfg.n, cfg.m, cfg.delta)
         rng = RngStream(cfg.seed)
         t = time.perf_counter()
@@ -337,15 +326,10 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> tuple[int, dict]:
 
         if cfg.command == "verify-dpp":
             t = time.perf_counter()
-            basis = orthonormal_basis(cfg.n, cfg.m, cfg.delta)
-            kernel = finite_kernel(basis)
-            partition = equal_mass_partition(
-                WeightSpec("hp", cfg.m, cfg.delta), cfg.rings, cfg.sectors, cfg.r_max
-            )
             report = verify_intensities(
                 configs, kernel, partition, level=cfg.level, include_pairs=cfg.pairs
             )
-            timings["verification"] = time.perf_counter() - t
+            timings["verification"] += time.perf_counter() - t
             with open(out_dir / "report.json", "w") as fh:
                 json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
                 fh.write("\n")

@@ -21,12 +21,14 @@ class ConfigError(ValueError):
 def check_params(m: int | None, delta) -> complex:
     """``delta`` as a complex number, once (m, delta) is admissible.
 
-    Raises ``ValueError`` unless m >= 1 and Re delta > -1/2; ``m`` is None
-    where only delta is given.
+    Raises :class:`ConfigError` unless m >= 1 and Re delta > -1/2; ``m`` is
+    None where only delta is given.  This is the one statement of the
+    paper's parameter range, for the library and the command line alike.
     """
     if m is not None and m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ConfigError("bad-value", f"m must be >= 1, got {m}", field="m")
     delta = complex(delta)
     if delta.real <= -0.5:
-        raise ValueError(f"Re delta must exceed -1/2, got {delta}")
+        raise ConfigError("delta-range", f"Re delta must exceed -1/2, got {delta}",
+                          field="delta")
     return delta

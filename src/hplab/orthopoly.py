@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import NumericalError, check_params
-from .weights import GRAM_MAX_N, WeightSpec, gram_matrix
+from .weights import WeightSpec, check_basis_size, gram_matrix
 
 __all__ = [
     "PolynomialBasis",
@@ -127,10 +127,8 @@ def orthonormal_basis(n: int, m: int, delta: complex, tol: float = 1e-14) -> Pol
     The Gram matrix of monomial moments is factored by Cholesky after diagonal
     equilibration.  If the orthonormality residual exceeds 1e-9 a single
     refinement step is applied; failure after that raises
-    :class:`NumericalError`.
+    :class:`NumericalError`.  ``gram_matrix`` checks n against its cap.
     """
-    if not 1 <= n <= GRAM_MAX_N:
-        raise ValueError(f"n must be in [1, {GRAM_MAX_N}]")
     delta = complex(delta)
     g = gram_matrix(n, m, delta, tol)
     c, resid = _coeffs_from_gram(g)
@@ -158,8 +156,7 @@ def closed_form_basis_delta0(n: int, m: int) -> PolynomialBasis:
 
     ``P_k(z) = sqrt(m/pi * binom(m+k, k)) * z^k``.
     """
-    if not 1 <= n <= GRAM_MAX_N:
-        raise ValueError(f"n must be in [1, {GRAM_MAX_N}]")
+    check_basis_size(n)
     check_params(m, 0)
     coeffs = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):

@@ -20,12 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .errors import NumericalError, check_params
+from .errors import ConfigError, NumericalError, check_params
 from .rng import RngStream
 
 __all__ = [
+    "SAMPLERS",
     "HPParams",
     "MHConfig",
+    "check_sampler",
     "sample_ginibre",
     "sample_haar_unitary",
     "sample_haar_unitaries",
@@ -35,6 +37,8 @@ __all__ = [
     "sample_hua_pickrell_mh",
     "unitarity_defect",
 ]
+
+SAMPLERS = ("haar", "hp_rejection", "hp_mh")
 
 # Matrix entries per block of Haar proposals in the rejection sampler: 3640
 # proposals on U(3), about 0.5 MB per complex stack.
@@ -58,7 +62,7 @@ class HPParams:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+            raise ConfigError("bad-value", f"n must be >= 1, got {self.n}", field="n")
         object.__setattr__(self, "delta", check_params(self.m, self.delta))
 
     @property
@@ -77,9 +81,31 @@ class MHConfig:
 
     def __post_init__(self):
         if self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
+            raise ConfigError("bad-value", f"burn_in must be >= 0, got {self.burn_in}", field="mh")
         if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
+            raise ConfigError("bad-value", f"thinning must be >= 1, got {self.thinning}",
+                              field="mh")
+
+
+def check_sampler(sampler: str | None, delta: complex) -> str:
+    """The matrix sampler for ``delta``: ``sampler`` once it is admissible, or
+    the default when it is None.
+
+    "haar" needs delta = 0, "hp_rejection" needs Re delta >= 0 so that its
+    density ratio is bounded, and "hp_mh" takes every admissible delta.  The
+    default is hp_rejection where it applies and hp_mh otherwise.  Anything
+    else raises :class:`ConfigError`.
+    """
+    if sampler is None:
+        return "hp_rejection" if delta.real >= 0 else "hp_mh"
+    if sampler not in SAMPLERS:
+        raise ConfigError("bad-value", f"sampler must be one of {SAMPLERS}, got {sampler!r}",
+                          field="sampler")
+    if sampler == "haar" and delta != 0:
+        raise ConfigError("sampler-delta", "the haar sampler requires delta = 0", field="sampler")
+    if sampler == "hp_rejection" and delta.real < 0:
+        raise ConfigError("sampler-delta", "hp_rejection requires Re delta >= 0", field="sampler")
+    return sampler
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -226,8 +252,8 @@ def _rejection_stack(dim: int, delta: complex, count: int, rng: RngStream):
     up to and including the last accepted one.  Proposals come in blocks of
     about the expected number still needed, capped at
     ``PROPOSAL_BLOCK_ENTRIES`` matrix entries; each proposal has one uniform,
-    and acceptances are kept in proposal order.  The callers check
-    Re delta >= 0 and the cost.
+    and acceptances are kept in proposal order.  The callers check the sampler
+    and the cost.
     """
     log_bound = _rejection_log_bound(dim, delta)
     acceptance = _rejection_acceptance(dim, delta)
@@ -246,29 +272,17 @@ def _rejection_stack(dim: int, delta: complex, count: int, rng: RngStream):
     return np.concatenate(kept), proposals
 
 
-def sample_hua_pickrell_rejection(
-    dim: int,
-    delta: complex,
-    rng: RngStream,
-    *,
-    return_proposals: bool = False,
-):
+def sample_hua_pickrell_rejection(dim: int, delta: complex, rng: RngStream) -> np.ndarray:
     """Exact Hua-Pickrell sample on U(dim) by rejection from Haar.
 
     Requires Re delta >= 0 so the density ratio is bounded.  A draw expected
     to need more than ``REJECTION_MAX_PROPOSALS`` Haar proposals raises
-    :class:`NumericalError` before any sampling.  With ``return_proposals``
-    the number of Haar proposals consumed, up to and including the accepted
-    one, is returned alongside the sample.
+    :class:`NumericalError` before any sampling.
     """
     delta = complex(delta)
-    if delta.real < 0:
-        raise ValueError("rejection sampling requires Re delta >= 0")
+    check_sampler("hp_rejection", delta)
     _check_rejection_cost(dim, delta, 1)
-    u, proposals = _rejection_stack(dim, delta, 1, rng)
-    if return_proposals:
-        return u[0], proposals
-    return u[0]
+    return _rejection_stack(dim, delta, 1, rng)[0][0]
 
 
 def _mh_accept_probability(logw_prop: float, logw_cur: float) -> float:
@@ -295,9 +309,7 @@ def sample_hua_pickrell_mh(
     count: int,
     cfg: MHConfig,
     rng: RngStream,
-    *,
-    return_acceptance: bool = False,
-):
+) -> np.ndarray:
     """Hua-Pickrell samples on U(dim) via independence Metropolis-Hastings.
 
     Proposals are fresh Haar draws; moves are accepted with probability
@@ -312,19 +324,15 @@ def sample_hua_pickrell_mh(
         raise ValueError("count must be nonnegative")
     current = sample_haar_unitary(dim, rng)
     logw_cur = hp_log_weight(current, delta)
-    accepted = 0
-    proposals = 0
 
     def step():
-        nonlocal current, logw_cur, accepted, proposals
+        nonlocal current, logw_cur
         prop = sample_haar_unitary(dim, rng)
-        proposals += 1
         logw_prop = float(_log_weights(prop[None], delta)[0])
         p = _mh_accept_probability(logw_prop, logw_cur)
         if p >= 1.0 or rng.random() < p:
             current = prop
             logw_cur = logw_prop
-            accepted += 1
 
     for _ in range(cfg.burn_in):
         step()
@@ -333,6 +341,4 @@ def sample_hua_pickrell_mh(
         for _ in range(cfg.thinning):
             step()
         out[i] = current
-    if return_acceptance:
-        return out, accepted, proposals
     return out

@@ -14,10 +14,12 @@ import numpy as np
 from .errors import NumericalError
 from .rng import RngStream
 from .sampling import (
+    SAMPLERS,
     HPParams,
     MHConfig,
     _check_rejection_cost,
     _rejection_stack,
+    check_sampler,
     sample_haar_unitaries,
     sample_haar_unitary,  # noqa: F401  (bench/test_checks.py reads it from here)
 )
@@ -29,8 +31,6 @@ __all__ = [
     "eigenvalues",
     "sample_truncation_ensemble",
 ]
-
-SAMPLERS = ("haar", "hp_rejection", "hp_mh")
 
 # Ensembles are generated in fixed-size chunks, each on its own RNG substream,
 # so results are identical for any worker count.
@@ -88,7 +88,8 @@ def sample_truncation_ensemble(
     """Array of shape (count, n): eigenvalues of truncated random unitaries.
 
     ``sampler`` selects the ambient U(n+m) distribution: "haar" (delta must be
-    0), "hp_rejection" (Re delta >= 0), or "hp_mh" (any admissible delta).
+    0), "hp_rejection" (Re delta >= 0), or "hp_mh" (any admissible delta); see
+    :func:`hplab.sampling.check_sampler`.
     Rows within a configuration are in eigensolver order, not sorted.
 
     The iid samplers are split into chunks of ``ENSEMBLE_CHUNK`` draws, chunk
@@ -99,14 +100,9 @@ def sample_truncation_ensemble(
     :data:`hplab.sampling.REJECTION_MAX_PROPOSALS` Haar proposals raises
     :class:`NumericalError` before any sampling.
     """
-    if sampler not in SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
+    sampler = check_sampler(sampler, params.delta)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if sampler == "haar" and params.delta != 0:
-        raise ValueError("the haar sampler requires delta = 0")
-    if sampler == "hp_rejection" and params.delta.real < 0:
-        raise ValueError("hp_rejection requires Re delta >= 0")
     if sampler == "hp_rejection":
         _check_rejection_cost(params.dim, params.delta, count)
     if count == 0:

@@ -33,11 +33,12 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from .errors import NumericalError, check_params
+from .errors import ConfigError, NumericalError, check_params
 
 __all__ = [
     "WeightSpec",
     "GRAM_MAX_N",
+    "check_basis_size",
     "weight_eval",
     "radial_monomial_integral",
     "moment_series",
@@ -49,6 +50,13 @@ __all__ = [
 # Largest basis size gram_matrix will build; conditioning of the monomial Gram
 # matrix grows with n, and this range is validated to orthonormalize cleanly.
 GRAM_MAX_N = 48
+
+
+def check_basis_size(n: int, field: str = "n") -> None:
+    """Raise :class:`ConfigError` unless 1 <= n <= ``GRAM_MAX_N``; ``field``
+    names the configuration entry that holds n."""
+    if not 1 <= n <= GRAM_MAX_N:
+        raise ConfigError("bad-value", f"n must be in [1, {GRAM_MAX_N}], got {n}", field=field)
 
 
 @dataclass(frozen=True)
@@ -375,9 +383,6 @@ def _gram_cached(n: int, m: int, delta: complex, tol: float) -> np.ndarray:
 
 def gram_matrix(n: int, m: int, delta: complex, tol: float = 1e-14) -> np.ndarray:
     """Hermitian matrix ``G[j, k] = c_{j,k}`` of monomial moments, 0 <= j, k < n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > GRAM_MAX_N:
-        raise ValueError(f"n={n} exceeds the supported maximum {GRAM_MAX_N}")
+    check_basis_size(n)
     delta = _check_moment_args(0, 0, m, delta)
     return _gram_cached(int(n), int(m), delta, float(tol)).copy()

@@ -11,6 +11,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 from conftest import CRITERION_LINES
 from scipy import integrate
 from scipy import stats as st
@@ -37,6 +38,8 @@ from hplab.sampling import (
 from hplab.stats import chi_square_gof, two_sample_chi_square
 from hplab.truncation import sample_truncation_ensemble
 from hplab.weights import WeightSpec, gram_matrix, moment_quadrature, moment_series
+
+pytestmark = pytest.mark.acceptance
 
 DELTA_SET = (0.0, 1.0, complex(1.0, 2.0), complex(-0.3, 0.0), complex(-0.3, 0.7))
 

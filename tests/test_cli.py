@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import hplab
-from hplab.cli import ExperimentConfig, _write_points_csv, main, parse_config, run
+from hplab.cli import (
+    _KEYS,
+    COMMANDS,
+    ExperimentConfig,
+    _write_points_csv,
+    main,
+    parse_config,
+    run,
+)
 from hplab.errors import ConfigError
 from hplab.rng import RngStream
 
@@ -354,3 +362,53 @@ def test_import_loads_no_scipy_stats_or_mpmath():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, extra, where",
+    [
+        ("basis", {"n": 49}, "(n)"),
+        ("converge", {"n_list": [10, 60]}, "(n_list)"),
+        ("verify-dpp", {"n": 49, "samples": 100, "sampler": "haar"}, "(n)"),
+    ],
+)
+def test_main_refuses_n_above_the_gram_cap(tmp_path, capsys, command, extra, where):
+    # these runs once raised an uncaught ValueError (exit 1); verify-dpp had
+    # already sampled and left points.csv behind
+    data = {"seed": 1, "m": 1, "delta": 0.0, "output_dir": str(tmp_path / "out"), **extra}
+    path = _write(tmp_path, "cfg.json", data)
+    assert main([command, "--config", path]) == 2
+    assert f"config error [bad-value] {where}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_dpp_builds_the_kernel_before_sampling(tmp_path, capsys):
+    # the moment series refuses this Gram matrix; the run ends before the
+    # sampler is called, so no points.csv is written and it takes no MH time
+    data = {"seed": 1, "n": 2, "m": 1, "delta": [-0.3, 5.0], "samples": 2000,
+            "sampler": "hp_mh", "output_dir": str(tmp_path / "out")}
+    path = _write(tmp_path, "cfg.json", data)
+    t0 = time.perf_counter()
+    assert main(["verify-dpp", "--config", path]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "numerical error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "points.csv").exists()
+
+
+def test_manifest_config_replays(tmp_path):
+    # the echoed configuration holds exactly the command's fields and parses
+    # back to the configuration that produced it
+    configs = [
+        _base_sample(tmp_path, samples=20),
+        {"command": "basis", "seed": 1, "n": 3, "m": 2, "delta": [-0.3, 0.7]},
+        {"command": "verify-dpp", "seed": 7, "n": 2, "m": 1, "delta": 1.0, "samples": 200,
+         "cells": {"rings": 2, "sectors": 3}, "pairs": False},
+        {"command": "gauge-check", "seed": 3, "m": 1, "delta": 0.5, "tuples": 2},
+        {"command": "converge", "seed": 0, "m": 1, "delta": 0.0, "n_list": [8, 4]},
+    ]
+    assert sorted(c["command"] for c in configs) == sorted(COMMANDS)
+    for i, data in enumerate(configs):
+        cfg = parse_config({**data, "output_dir": str(tmp_path / f"run{i}")})
+        _, manifest = run(cfg)
+        assert set(manifest["config"]) == _KEYS[cfg.command]
+        assert parse_config(manifest["config"]) == cfg

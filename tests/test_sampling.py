@@ -11,6 +11,7 @@ from hplab.sampling import (
     MHConfig,
     _mh_accept_probability,
     _rejection_acceptance,
+    _rejection_stack,
     hp_log_weight,
     hp_log_weights,
     sample_ginibre,
@@ -194,7 +195,7 @@ def test_rejection_acceptance_rate():
     rng = RngStream(23)
     proposals = 0
     for i in range(count):
-        u, used = sample_hua_pickrell_rejection(dim, delta, rng, return_proposals=True)
+        u, used = _rejection_stack(dim, delta, 1, rng)
         proposals += used
         if i < 20:
             assert unitarity_defect(u) < 1e-12
@@ -209,10 +210,7 @@ def test_rejection_proposals_count_to_the_accepted_one():
     # took in the rest of a block of proposals would never be 1
     dim, delta, count = 3, 1.0, 1600
     rng = RngStream(29)
-    ones = sum(
-        sample_hua_pickrell_rejection(dim, delta, rng, return_proposals=True)[1] == 1
-        for _ in range(count)
-    )
+    ones = sum(_rejection_stack(dim, delta, 1, rng)[1] == 1 for _ in range(count))
     p = (dim + 1) / 2 ** (2 * dim)
     assert abs(ones - count * p) < 5 * math.sqrt(count * p * (1 - p))
 
@@ -234,13 +232,14 @@ def test_rejection_determinism():
 
 
 def test_mh_accepts_everything_at_delta_zero():
-    cfg = MHConfig(burn_in=10, thinning=1)
-    samples, accepted, total = sample_hua_pickrell_mh(
-        3, 0.0, 100, cfg, RngStream(31), return_acceptance=True
-    )
-    assert len(samples) == 100
-    assert samples[0].shape == (3, 3)
-    assert accepted == total
+    # at delta = 0 every proposal is accepted without a uniform, so the chain
+    # is the Haar stream itself: state burn_in + thinning * k is retained
+    dim, count, cfg = 3, 100, MHConfig(burn_in=10, thinning=2)
+    samples = sample_hua_pickrell_mh(dim, 0.0, count, cfg, RngStream(31))
+    haar = sample_haar_unitaries(dim, 1 + cfg.burn_in + cfg.thinning * count, RngStream(31))
+    kept = cfg.burn_in + cfg.thinning * np.arange(1, count + 1)
+    assert samples.shape == (count, dim, dim)
+    assert samples.tobytes() == haar[kept].tobytes()
 
 
 def test_mh_determinism():
