@@ -9,7 +9,9 @@ the unknown normalization constant of the measure never enters.
 
 Haar draws and log-weights work on stacks of shape ``(count, dim, dim)``, and
 the single-matrix functions are their ``count = 1`` case.  The rejection
-sampler proposes in blocks; the Metropolis chain steps one proposal at a time.
+sampler proposes in blocks.  The Metropolis chain proposes in speculative
+blocks that it rewinds at the first certain move, so a seed gives the same
+chain as stepping one proposal at a time.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ PROPOSAL_BLOCK_ENTRIES = 2**15
 # Expected Haar proposals above which a rejection run is refused up front; the
 # largest run in the test suite (2e4 samples on U(4) at delta = 1) needs 1e6.
 REJECTION_MAX_PROPOSALS = 1e8
+
+# Most proposals in one speculative block of the Metropolis chain.
+MH_BLOCK_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -108,17 +113,20 @@ def check_sampler(sampler: str | None, delta: complex) -> str:
     return sampler
 
 
+def _defects(u: np.ndarray) -> np.ndarray:
+    """Max-norm of U*U - I per matrix of a stack ``(..., dim, dim)``."""
+    gram = np.swapaxes(u.conj(), -1, -2) @ u
+    return np.max(np.abs(gram - np.eye(u.shape[-1])), axis=(-2, -1), initial=0.0)
+
+
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-norm of U*U - I, over every matrix of a stack ``(..., dim, dim)``."""
-    u = np.asarray(u)
-    gram = np.swapaxes(u.conj(), -1, -2) @ u
-    return float(np.max(np.abs(gram - np.eye(u.shape[-1])), initial=0.0))
+    return float(np.max(_defects(np.asarray(u)), initial=0.0))
 
 
-def _ginibre(shape: tuple[int, ...], rng: RngStream) -> np.ndarray:
-    """Ginibre matrices of shape ``(..., rows, cols)``; each matrix consumes its
-    real parts, then its imaginary parts."""
-    g = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+def _ginibre(g: np.ndarray) -> np.ndarray:
+    """Ginibre matrices from standard normals of shape ``(..., 2, rows, cols)``:
+    each matrix takes its real parts, then its imaginary parts."""
     return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
 
 
@@ -126,7 +134,31 @@ def sample_ginibre(rows: int, cols: int, rng: RngStream) -> np.ndarray:
     """Complex Ginibre matrix: iid entries with N(0,1/2) real and imaginary parts."""
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    return _ginibre((rows, cols), rng)
+    return _ginibre(rng.standard_normal((2, rows, cols)))
+
+
+def _haar_from_normals(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unitaries of :func:`sample_haar_unitaries` from standard normals of
+    shape ``(count, 2, dim, dim)``, and the unitarity defect of each.
+
+    A singular Ginibre draw has a zero on the diagonal of R; its column of Q
+    is zeroed, so its defect is 1.  :func:`_check_haar` turns a defect into
+    an error.
+    """
+    q, r = np.linalg.qr(_ginibre(g))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.where(d == 0, 1.0, np.abs(d)))[:, None, :]
+    return u, _defects(u)
+
+
+def _check_haar(defect: float) -> None:
+    """Raise :class:`NumericalError` for a defect of :func:`_haar_from_normals`
+    above 1e-12 or NaN."""
+    if not defect <= 1e-12:
+        raise NumericalError(
+            f"Haar draw is not unitary, defect {defect:.3e}: the Ginibre draw was "
+            "numerically singular or QR failed"
+        )
 
 
 def sample_haar_unitaries(dim: int, count: int, rng: RngStream) -> np.ndarray:
@@ -136,20 +168,14 @@ def sample_haar_unitaries(dim: int, count: int, rng: RngStream) -> np.ndarray:
     phases of the diagonal of R.  The QR decomposition is not unique; that
     phase fix makes the diagonal of R real positive and the distribution
     exactly Haar.  The draws consume the stream in the order of ``count``
-    consecutive single draws.
+    consecutive single draws, ``2 dim^2`` normals each.
     """
     if dim < 1:
         raise ValueError("matrix dimensions must be positive")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    q, r = np.linalg.qr(_ginibre((count, dim, dim), rng))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    if np.any(d == 0):
-        raise NumericalError("Ginibre draw was numerically singular")
-    u = q * (d / np.abs(d))[:, None, :]
-    defect = unitarity_defect(u)
-    if defect > 1e-12:
-        raise NumericalError(f"QR produced a non-unitary factor, defect {defect:.3e}")
+    u, defect = _haar_from_normals(rng.standard_normal((count, 2, dim, dim)))
+    _check_haar(float(np.max(defect, initial=0.0)))
     return u
 
 
@@ -315,30 +341,53 @@ def sample_hua_pickrell_mh(
     Proposals are fresh Haar draws; moves are accepted with probability
     ``min(1, exp(logw(V) - logw(U)))``.  After ``cfg.burn_in`` proposals the
     chain emits one state every ``cfg.thinning`` proposals, ``count`` times,
-    as a stack ``(count, dim, dim)``.  Proposals are drawn one at a time, and a
-    uniform only when the move is not certain, so that a seed keeps its chain.
-    At delta = 0 every proposal is accepted and the output is exactly Haar.
+    as a stack ``(count, dim, dim)``.  At delta = 0 every proposal is accepted
+    and the output is exactly Haar.
+
+    Each step consumes ``2 dim^2`` normals, then one uniform unless its move is
+    certain.  Steps run in speculative blocks: a block draws its normals and
+    uniforms in stream order as if no move were certain, builds and weighs its
+    proposals as one stack, then walks them.  At the first certain move it
+    rewinds the generator to just before that step's uniform, and the next
+    block starts there; the last step of a block draws its uniform only when
+    it needs one.  So a seed keeps its chain whatever the block sizes.  Blocks
+    double while no move is certain, up to ``MH_BLOCK_MAX`` steps, and halve
+    otherwise.  A proposal from a singular Ginibre draw or a failed QR raises
+    :class:`NumericalError` when the walk reaches it.
     """
     delta = check_params(None, delta)
     if count < 0:
         raise ValueError("count must be nonnegative")
     current = sample_haar_unitary(dim, rng)
     logw_cur = hp_log_weight(current, delta)
-
-    def step():
-        nonlocal current, logw_cur
-        prop = sample_haar_unitary(dim, rng)
-        logw_prop = float(_log_weights(prop[None], delta)[0])
-        p = _mh_accept_probability(logw_prop, logw_cur)
-        if p >= 1.0 or rng.random() < p:
-            current = prop
-            logw_cur = logw_prop
-
-    for _ in range(cfg.burn_in):
-        step()
+    gen = rng.generator
     out = np.empty((count, dim, dim), dtype=np.complex128)
-    for i in range(count):
-        for _ in range(cfg.thinning):
-            step()
-        out[i] = current
+    steps = cfg.burn_in + cfg.thinning * count
+    buffer = np.empty((MH_BLOCK_MAX, 2, dim, dim))
+    done, size = 0, 1
+    while done < steps:
+        size = min(size, steps - done)
+        normals = buffer[:size]
+        states, uniforms = [], []
+        for i in range(size):
+            gen.standard_normal(out=normals[i])
+            if i < size - 1:
+                states.append(gen.bit_generator.state)
+                uniforms.append(gen.random())
+        props, defects = _haar_from_normals(normals)
+        logws = _log_weights(props, delta).tolist()
+        for i in range(size):
+            _check_haar(defects[i])
+            p = _mh_accept_probability(logws[i], logw_cur)
+            certain = p >= 1.0
+            if certain or (uniforms[i] if i < size - 1 else gen.random()) < p:
+                current, logw_cur = props[i], logws[i]
+            done += 1
+            if done > cfg.burn_in and (done - cfg.burn_in) % cfg.thinning == 0:
+                out[(done - cfg.burn_in) // cfg.thinning - 1] = current
+            if certain:
+                if i < size - 1:
+                    gen.bit_generator.state = states[i]
+                break
+        size = max(1, size // 2) if certain else min(2 * size, MH_BLOCK_MAX)
     return out

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from hplab import sampling
 from hplab.errors import NumericalError
 from hplab.rng import RngStream
 from hplab.sampling import (
@@ -84,6 +85,15 @@ def test_haar_singular_ginibre_raises():
 
     with pytest.raises(NumericalError):
         sample_haar_unitaries(3, 4, ZeroStream())
+
+
+def test_haar_nan_draw_raises():
+    class NanStream:
+        def standard_normal(self, size):
+            return np.full(size, np.nan)
+
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="not unitary"):
+        sample_haar_unitaries(3, 4, NanStream())
 
 
 def test_haar_eigenvalue_rotation_invariance():
@@ -240,6 +250,88 @@ def test_mh_accepts_everything_at_delta_zero():
     kept = cfg.burn_in + cfg.thinning * np.arange(1, count + 1)
     assert samples.shape == (count, dim, dim)
     assert samples.tobytes() == haar[kept].tobytes()
+
+
+def _stepwise_mh(dim, delta, count, cfg, rng):
+    """The Metropolis chain one proposal at a time, the reference for the
+    blocked sampler; also returns how many moves were certain."""
+    current = sample_haar_unitary(dim, rng)
+    logw_cur = hp_log_weight(current, delta)
+    out = np.empty((count, dim, dim), dtype=np.complex128)
+    certain = 0
+    for t in range(1, cfg.burn_in + cfg.thinning * count + 1):
+        prop = sample_haar_unitary(dim, rng)
+        logw_prop = hp_log_weight(prop, delta)
+        p = _mh_accept_probability(logw_prop, logw_cur)
+        certain += p >= 1.0
+        if p >= 1.0 or rng.random() < p:
+            current, logw_cur = prop, logw_prop
+        if t > cfg.burn_in and (t - cfg.burn_in) % cfg.thinning == 0:
+            out[(t - cfg.burn_in) // cfg.thinning - 1] = current
+    return out, certain
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.3, -0.45, 1 + 2j, complex(-0.3, 0.7)])
+def test_mh_blocks_match_the_stepwise_chain(delta):
+    schedules = [(MHConfig(0, 3), 20), (MHConfig(10, 1), 30), (MHConfig(25, 2), 0),
+                 (MHConfig(0, 1), 0)]
+    for dim in range(1, 6):
+        for k, (cfg, count) in enumerate(schedules):
+            seed = 100 * dim + k
+            got = sample_hua_pickrell_mh(dim, delta, count, cfg, RngStream(seed))
+            ref, _ = _stepwise_mh(dim, delta, count, cfg, RngStream(seed))
+            assert got.shape == (count, dim, dim)
+            assert got.tobytes() == ref.tobytes(), (dim, cfg, count)
+
+
+@pytest.mark.parametrize("dim, delta", [(3, 1 + 2j), (4, -0.3)])
+def test_mh_long_chain_matches_the_stepwise_chain(dim, delta):
+    # thousands of steps: full-size blocks, and many rewinds at certain moves
+    cfg, count = MHConfig(200, 7), 600
+    got = sample_hua_pickrell_mh(dim, delta, count, cfg, RngStream(61))
+    ref, certain = _stepwise_mh(dim, delta, count, cfg, RngStream(61))
+    assert certain > 100
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.3, 1 + 2j])
+@pytest.mark.parametrize("fault", ["non-unitary", "zero-diagonal"])
+def test_mh_checks_every_proposal(monkeypatch, delta, fault):
+    # the first QR builds the initial state; every later one spoils its stack
+    real_qr = np.linalg.qr
+    calls = []
+
+    def qr(a):
+        q, r = real_qr(a)
+        calls.append(a.shape)
+        if len(calls) > 1:
+            if fault == "non-unitary":
+                q = 1.001 * q
+            else:
+                r[..., 0, 0] = 0.0
+        return q, r
+
+    monkeypatch.setattr(sampling.np.linalg, "qr", qr)
+    with pytest.raises(NumericalError, match="not unitary"):
+        sample_hua_pickrell_mh(3, delta, 10, MHConfig(5, 2), RngStream(71))
+    assert len(calls) > 1
+
+
+def test_mh_failed_eigensolve_raises(monkeypatch):
+    # the first eigensolve weighs the initial state; every later one fails
+    real_eigvals = np.linalg.eigvals
+    calls = []
+
+    def eigvals(a):
+        calls.append(a.shape)
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("no convergence")
+        return real_eigvals(a)
+
+    monkeypatch.setattr(sampling.np.linalg, "eigvals", eigvals)
+    with pytest.raises(NumericalError, match="eigenvalue computation failed"):
+        sample_hua_pickrell_mh(3, 1 + 2j, 10, MHConfig(5, 2), RngStream(73))
+    assert len(calls) > 1
 
 
 def test_mh_determinism():
