@@ -39,7 +39,7 @@ from .errors import ConfigError, NumericalError, check_params
 from .orthopoly import finite_kernel, orthonormal_basis, write_basis_csv
 from .rng import RngStream
 from .sampling import HPParams, MHConfig, check_sampler
-from .truncation import sample_truncation_ensemble
+from .truncation import ensemble_threads, sample_truncation_ensemble
 from .weights import WeightSpec, check_basis_size
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
@@ -286,11 +286,11 @@ def _gauge_tuple(rng: RngStream, max_points: int) -> np.ndarray:
 # command execution
 
 
-def run(cfg: ExperimentConfig, workers: int = 1) -> tuple[int, dict]:
+def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     """Execute a configuration; returns (exit_code, manifest dict).
 
     Output files and ``manifest.json`` are written into ``cfg.output_dir``
-    (created if needed).
+    (created if needed).  The manifest's ``workers`` counts sampling threads.
     """
     from pathlib import Path
 
@@ -315,9 +315,7 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> tuple[int, dict]:
         params = HPParams(cfg.n, cfg.m, cfg.delta)
         rng = RngStream(cfg.seed)
         t = time.perf_counter()
-        configs = sample_truncation_ensemble(
-            params, cfg.samples, cfg.sampler, rng, mh=cfg.mh, workers=workers
-        )
+        configs = sample_truncation_ensemble(params, cfg.samples, cfg.sampler, rng, mh=cfg.mh)
         timings["sampling"] = time.perf_counter() - t
         t = time.perf_counter()
         _write_points_csv(out_dir / "points.csv", configs)
@@ -419,7 +417,7 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> tuple[int, dict]:
         "version": __version__,
         "command": cfg.command,
         "config": _config_echo(cfg),
-        "workers": workers,
+        "workers": ensemble_threads(cfg.samples, cfg.sampler),
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
         "wall_clock_s": round(time.perf_counter() - t0, 6),
         "outputs": outputs,
@@ -442,7 +440,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON configuration file")
     parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
-    parser.add_argument("--workers", type=int, default=1, help="worker processes for sampling")
     parser.add_argument("--output-dir", default=None, help="override the configured output_dir")
     args = parser.parse_args(argv)
 
@@ -470,9 +467,6 @@ def main(argv=None) -> int:
             data["seed"] = args.seed
         if args.output_dir is not None:
             data["output_dir"] = args.output_dir
-    if args.workers < 1:
-        print("config error [bad-value]: --workers must be >= 1", file=sys.stderr)
-        return 2
 
     try:
         cfg = parse_config(data)
@@ -482,7 +476,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        code, manifest = run(cfg, workers=args.workers)
+        code, manifest = run(cfg)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

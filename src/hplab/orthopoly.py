@@ -121,7 +121,7 @@ def _coeffs_from_gram(g: np.ndarray) -> tuple[np.ndarray, float]:
     return c, _orthonormality_residual(c, g)
 
 
-def orthonormal_basis(n: int, m: int, delta: complex, tol: float = 1e-14) -> PolynomialBasis:
+def orthonormal_basis(n: int, m: int, delta: complex) -> PolynomialBasis:
     """Orthonormal polynomials P_0, ..., P_{n-1} for the disc weight (m, delta).
 
     The Gram matrix of monomial moments is factored by Cholesky after diagonal
@@ -130,7 +130,7 @@ def orthonormal_basis(n: int, m: int, delta: complex, tol: float = 1e-14) -> Pol
     :class:`NumericalError`.  ``gram_matrix`` checks n against its cap.
     """
     delta = complex(delta)
-    g = gram_matrix(n, m, delta, tol)
+    g = gram_matrix(n, m, delta)
     c, resid = _coeffs_from_gram(g)
     if resid > 1e-9:
         e = c.T @ g @ np.conj(c) - np.eye(n)

@@ -4,8 +4,8 @@ Every sampler in the package draws from an :class:`RngStream`.  A stream is
 identified by ``(seed, stream_id)`` plus an optional substream path; equal
 identifiers always reproduce the same draw sequence, and distinct identifiers
 give statistically independent streams.  Substreams make parallel Monte Carlo
-independent of the worker count: work unit ``i`` always consumes
-``stream.substream(i)`` no matter which process runs it.
+independent of the thread count: work unit ``i`` always consumes
+``stream.substream(i)`` no matter which thread runs it.
 """
 
 from __future__ import annotations

@@ -184,7 +184,7 @@ def sample_haar_unitary(dim: int, rng: RngStream) -> np.ndarray:
     return sample_haar_unitaries(dim, 1, rng)[0]
 
 
-def hp_log_weights(u: np.ndarray, delta: complex, *, tol: float = 1e-10) -> np.ndarray:
+def hp_log_weights(u: np.ndarray, delta: complex) -> np.ndarray:
     """Log of the unnormalized Hua-Pickrell density against Haar, per matrix of
     a stack ``(count, dim, dim)``.
 
@@ -193,13 +193,14 @@ def hp_log_weights(u: np.ndarray, delta: complex, *, tol: float = 1e-10) -> np.n
     delta no branch enters and ``2 delta log|det(I - U)|`` is used.  A matrix
     with an eigenvalue exactly 1 gives -inf for Re delta > 0 and +inf for
     Re delta < 0; for a purely imaginary delta that singular factor is dropped
-    (it carries no weight in modulus).
+    (it carries no weight in modulus).  A stack with a unitarity defect above
+    1e-10 raises :class:`ValueError`.
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 3 or u.shape[1] != u.shape[2]:
         raise ValueError("expected a stack of square matrices")
-    if unitarity_defect(u) > tol:
-        raise ValueError(f"matrix is not unitary within tolerance {tol}")
+    if unitarity_defect(u) > 1e-10:
+        raise ValueError("matrix is not unitary within tolerance 1e-10")
     return _log_weights(u, complex(delta))
 
 
@@ -224,12 +225,12 @@ def _log_weights(u: np.ndarray, delta: complex) -> np.ndarray:
     return logw
 
 
-def hp_log_weight(u: np.ndarray, delta: complex, *, tol: float = 1e-10) -> float:
+def hp_log_weight(u: np.ndarray, delta: complex) -> float:
     """Log-weight of one square matrix; see :func:`hp_log_weights`."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
-    return float(hp_log_weights(u[None], delta, tol=tol)[0])
+    return float(hp_log_weights(u[None], delta)[0])
 
 
 def _rejection_log_bound(dim: int, delta: complex) -> float:

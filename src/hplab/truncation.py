@@ -2,12 +2,14 @@
 
 The top-left n x n corner of a Hua-Pickrell distributed U(n+m) matrix has all
 eigenvalues strictly inside the unit disc (almost surely); those eigenvalue
-configurations are the point process this package studies.
+configurations are the point process this package studies.  Ensembles are
+drawn in chunks on threads: NumPy's stacked linear algebra releases the GIL.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,19 +24,36 @@ from .sampling import (
     check_sampler,
     sample_haar_unitaries,
     sample_haar_unitary,  # noqa: F401  (bench/test_checks.py reads it from here)
+    sample_hua_pickrell_mh,
 )
 
 __all__ = [
     "SAMPLERS",
     "ENSEMBLE_CHUNK",
+    "ensemble_threads",
     "truncate",
     "eigenvalues",
     "sample_truncation_ensemble",
 ]
 
 # Ensembles are generated in fixed-size chunks, each on its own RNG substream,
-# so results are identical for any worker count.
+# so results are identical for any thread count.
 ENSEMBLE_CHUNK = 256
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def ensemble_threads(count: int, sampler: str) -> int:
+    """Threads :func:`sample_truncation_ensemble` uses for ``count`` draws: one
+    per chunk up to the CPU count, at least one, and one for the MH chain."""
+    if sampler == "hp_mh":
+        return 1
+    return max(1, min(_cpu_count(), -(-count // ENSEMBLE_CHUNK)))
 
 
 def truncate(u: np.ndarray, keep: int) -> np.ndarray:
@@ -58,24 +77,6 @@ def eigenvalues(mat: np.ndarray) -> np.ndarray:
         raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
 
 
-def _chunk_points(params: HPParams, sampler: str, chunk_rng: RngStream, count: int) -> np.ndarray:
-    """Eigenvalue configurations for one chunk of an iid ensemble."""
-    if sampler == "haar":
-        u = sample_haar_unitaries(params.dim, count, chunk_rng)
-    else:
-        u, _ = _rejection_stack(params.dim, params.delta, count, chunk_rng)
-    return eigenvalues(truncate(u, params.n))
-
-
-def _chunk_worker(args) -> np.ndarray:
-    n, m, delta, sampler, seed, stream_id, path, count = args
-    params = HPParams(n, m, delta)
-    rng = RngStream(seed, stream_id)
-    for idx in path:
-        rng = rng.substream(idx)
-    return _chunk_points(params, sampler, rng, count)
-
-
 def sample_truncation_ensemble(
     params: HPParams,
     count: int,
@@ -83,7 +84,6 @@ def sample_truncation_ensemble(
     rng: RngStream,
     *,
     mh: MHConfig | None = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Array of shape (count, n): eigenvalues of truncated random unitaries.
 
@@ -93,9 +93,10 @@ def sample_truncation_ensemble(
     Rows within a configuration are in eigensolver order, not sorted.
 
     The iid samplers are split into chunks of ``ENSEMBLE_CHUNK`` draws, chunk
-    ``c`` consuming substream ``c`` of ``rng``; ``workers`` > 1 distributes
-    chunks over processes without changing the output.  The MH sampler is a
-    single sequential chain (substream 0) and ignores ``workers``.
+    ``c`` consuming substream ``c`` of ``rng``; the chunks run on
+    :func:`ensemble_threads` threads, and the output does not depend on that
+    number.  An error raised in any chunk reaches the caller.  The MH sampler
+    is a single sequential chain (substream 0).
     A rejection run expected to need over
     :data:`hplab.sampling.REJECTION_MAX_PROPOSALS` Haar proposals raises
     :class:`NumericalError` before any sampling.
@@ -109,26 +110,20 @@ def sample_truncation_ensemble(
         return np.empty((0, params.n), dtype=np.complex128)
 
     if sampler == "hp_mh":
-        from .sampling import sample_hua_pickrell_mh
-
         cfg = mh or MHConfig()
         chain_rng = rng.substream(0)
         mats = sample_hua_pickrell_mh(params.dim, params.delta, count, cfg, chain_rng)
         return eigenvalues(truncate(mats, params.n))
 
-    n_chunks = (count + ENSEMBLE_CHUNK - 1) // ENSEMBLE_CHUNK
-    sizes = [min(ENSEMBLE_CHUNK, count - c * ENSEMBLE_CHUNK) for c in range(n_chunks)]
-    if workers > 1 and n_chunks > 1:
-        payload = [
-            (params.n, params.m, params.delta, sampler, rng.seed, rng.stream_id,
-             rng.path + (c,), sizes[c])
-            for c in range(n_chunks)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_chunk_worker, payload))
-    else:
-        chunks = [
-            _chunk_points(params, sampler, rng.substream(c), sizes[c])
-            for c in range(n_chunks)
-        ]
-    return np.concatenate(chunks, axis=0)
+    n_chunks = -(-count // ENSEMBLE_CHUNK)
+
+    def chunk(c: int) -> np.ndarray:
+        size = min(ENSEMBLE_CHUNK, count - c * ENSEMBLE_CHUNK)
+        if sampler == "haar":
+            u = sample_haar_unitaries(params.dim, size, rng.substream(c))
+        else:
+            u, _ = _rejection_stack(params.dim, params.delta, size, rng.substream(c))
+        return eigenvalues(truncate(u, params.n))
+
+    with ThreadPoolExecutor(max_workers=ensemble_threads(count, sampler)) as pool:
+        return np.concatenate(list(pool.map(chunk, range(n_chunks))), axis=0)

@@ -20,8 +20,8 @@ The series is evaluated for a whole batch of index pairs at once: the Gram
 matrix is one call over its lower triangle, and :func:`moment_series` is the
 one-pair case of the same code.  Its tail integral never subtracts large
 log-gamma values, so it holds for every Re delta > -1/2, and every entry is
-checked against its own error estimate; a non-finite entry, or one whose
-estimate exceeds the tolerance, raises :class:`NumericalError`.
+checked against its own error estimate: one over the tolerance is summed
+again with a longer head, and raises :class:`NumericalError` if still over.
 """
 
 from __future__ import annotations
@@ -124,8 +124,11 @@ def _psi2(z):
     return -(zi**2) - zi**3 - zi**4 * (0.5 - zi**2 * (1 / 6 - zi**2 * (1 / 6)))
 
 
-# Fewest exact terms summed before the Euler-Maclaurin tail takes over.
+# Exact terms summed before the Euler-Maclaurin tail takes over: _HEAD_STEPS,
+# doubled up to _HEAD_MAX_STEPS for entries whose estimate is over the
+# tolerance (the next Euler-Maclaurin term goes like (|delta| / T)^5).
 _HEAD_STEPS = 80
+_HEAD_MAX_STEPS = 8 * _HEAD_STEPS
 # Gauss-Jacobi nodes of the tail integral.
 _TAIL_NODES = 32
 # The pair axis of a batch is cut into chunks of at most this many
@@ -224,7 +227,7 @@ def _tail_sum(j: np.ndarray, k: np.ndarray, m: int, delta: complex, T: np.ndarra
     return tail_rel, est
 
 
-def _moment_batch(j: np.ndarray, k: np.ndarray, m: int, delta: complex):
+def _moment_batch(j: np.ndarray, k: np.ndarray, m: int, delta: complex, head: int):
     """Moments ``c_{j,k}`` for index arrays with j >= k, and their error estimates.
 
     The moment is pi (m-1)! sum_{t >= j} u_t with the hypergeometric-type term
@@ -232,7 +235,7 @@ def _moment_batch(j: np.ndarray, k: np.ndarray, m: int, delta: complex):
         u_t = [(-delta)_(t-j)/(t-j)!] [(-conj delta)_(t-k)/(t-k)!] t!/(t+m)!,
 
     summed exactly by its rational one-term recurrence up to T = j + H, with
-    H = max(80, largest j), then completed by Euler-Maclaurin
+    H = max(head, largest j), then completed by Euler-Maclaurin
     (:func:`_tail_sum`): the terms decay only like t^-(2a+2+m), so truncation
     alone cannot reach machine precision.  When delta is a nonnegative integer
     d the terms vanish beyond t = j + d, and the recurrence alone gives the
@@ -242,7 +245,7 @@ def _moment_batch(j: np.ndarray, k: np.ndarray, m: int, delta: complex):
     a = delta.real
     dconj = delta.conjugate()
     terminating = delta.imag == 0.0 and a >= 0 and a == round(a)
-    steps = int(a) + 1 if terminating else max(_HEAD_STEPS, int(j.max()))
+    steps = int(a) + 1 if terminating else max(head, int(j.max()))
     d = j - k
     dmax = int(d.max())
     ratios = (np.arange(dmax) - dconj) / np.arange(1, dmax + 1)
@@ -268,19 +271,23 @@ def _moment_batch(j: np.ndarray, k: np.ndarray, m: int, delta: complex):
 def _moments(j, k, m: int, delta: complex, tol: float) -> np.ndarray:
     """Moments ``c_{j,k}`` for index arrays with j >= k.
 
-    Raises :class:`NumericalError`, naming the worst entry, unless every
-    result is finite with error estimate within ``tol`` relative to it.
+    An entry that is not finite, or whose error estimate exceeds ``tol``
+    relative to it, is summed again with the head doubled, up to
+    ``_HEAD_MAX_STEPS``; then :class:`NumericalError` names the worst one.
     """
     j = np.asarray(j, dtype=np.int64)
     k = np.asarray(k, dtype=np.int64)
     vals = np.empty(len(j), dtype=np.complex128)
     est = np.empty(len(j))
     chunk = _PAIR_NODE_BUDGET // _TAIL_NODES
-    for lo in range(0, len(j), chunk):
-        sl = slice(lo, lo + chunk)
-        vals[sl], est[sl] = _moment_batch(j[sl], k[sl], m, delta)
-    ratio = est / (tol * np.maximum(1.0, np.abs(vals)))
-    ratio[~np.isfinite(vals) | ~np.isfinite(ratio)] = np.inf
+    todo, head = np.arange(len(j)), _HEAD_STEPS
+    while len(todo) and head <= _HEAD_MAX_STEPS:
+        for lo in range(0, len(todo), chunk):
+            idx = todo[lo : lo + chunk]
+            vals[idx], est[idx] = _moment_batch(j[idx], k[idx], m, delta, head)
+        ratio = est / (tol * np.maximum(1.0, np.abs(vals)))
+        ratio[~np.isfinite(vals) | ~np.isfinite(ratio)] = np.inf
+        todo, head = np.flatnonzero(ratio > 1.0), 2 * head
     worst = int(np.argmax(ratio))
     if ratio[worst] > 1.0:
         raise NumericalError(

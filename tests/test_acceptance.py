@@ -35,6 +35,7 @@ from hplab.sampling import (
     sample_hua_pickrell_mh,
     sample_hua_pickrell_rejection,
 )
+from hplab import truncation
 from hplab.stats import chi_square_gof, two_sample_chi_square
 from hplab.truncation import sample_truncation_ensemble
 from hplab.weights import WeightSpec, gram_matrix, moment_quadrature, moment_series
@@ -51,13 +52,11 @@ def _report(tag: str, passed: bool, detail: str) -> str:
     return line
 
 
-def _ensemble_check(params, sampler, seed, samples, mh=None, workers=1):
+def _ensemble_check(params, sampler, seed, samples, mh=None):
     """Sample a truncation ensemble and test it against its exact kernel."""
     rng = RngStream(seed)
     t0 = time.perf_counter()
-    configs = sample_truncation_ensemble(
-        params, samples, sampler, rng, mh=mh or MHConfig(), workers=workers
-    )
+    configs = sample_truncation_ensemble(params, samples, sampler, rng, mh=mh or MHConfig())
     basis = orthonormal_basis(params.n, params.m, params.delta)
     partition = equal_mass_partition(
         WeightSpec("hp", params.m, params.delta), 4, 6, 0.95
@@ -66,9 +65,10 @@ def _ensemble_check(params, sampler, seed, samples, mh=None, workers=1):
     return report, time.perf_counter() - t0
 
 
-def test_criterion_1_haar_truncation_matches_kernel():
+def test_criterion_1_haar_truncation_matches_kernel(monkeypatch):
     # n=2, m=1, delta=0: 2e4 Haar draws on U(3), 24 equal-mass cells,
     # all Bonferroni-corrected z-scores below the 1e-3 quantile, single thread
+    monkeypatch.setattr(truncation, "_cpu_count", lambda: 1)
     report, wall = _ensemble_check(HPParams(2, 1, 0.0), "haar", 12, 20_000)
     detail = (
         f"max|z|={report.max_abs_z:.2f} vs threshold {report.threshold:.2f} "
@@ -92,7 +92,7 @@ def test_criterion_2_nonzero_delta_ensembles():
     results = []
     ok = True
     for params, sampler, seed, mh in runs:
-        report, wall = _ensemble_check(params, sampler, seed, 20_000, mh=mh, workers=4)
+        report, wall = _ensemble_check(params, sampler, seed, 20_000, mh=mh)
         results.append(
             f"(n={params.n},m={params.m},delta={params.delta:g},{sampler}): "
             f"max|z|={report.max_abs_z:.2f}/{report.threshold:.2f} in {wall:.0f}s"
@@ -107,9 +107,9 @@ def _two_sampler_combo(n, m, delta, seed, samples=2400):
     rng = RngStream(seed)
     delta = complex(delta)
     if delta == 0:
-        trunc = sample_truncation_ensemble(params, samples, "haar", rng, workers=4)
+        trunc = sample_truncation_ensemble(params, samples, "haar", rng)
     elif delta.real >= 0:
-        trunc = sample_truncation_ensemble(params, samples, "hp_rejection", rng, workers=4)
+        trunc = sample_truncation_ensemble(params, samples, "hp_rejection", rng)
     else:
         trunc = sample_truncation_ensemble(
             params, samples, "hp_mh", rng, mh=MHConfig(1000, 8)
@@ -368,7 +368,7 @@ def test_criterion_9_power_control():
     # delta=0 data tested against delta=2 predictions at n=m=2 with 1e4
     # samples: the verifier must detect the mismatch (fail), proving power
     params = HPParams(2, 2, 0.0)
-    configs = sample_truncation_ensemble(params, 10_000, "haar", RngStream(91), workers=4)
+    configs = sample_truncation_ensemble(params, 10_000, "haar", RngStream(91))
     wrong_basis = orthonormal_basis(2, 2, 2.0)
     partition = equal_mass_partition(WeightSpec("hp", 2, 2.0), 4, 6, 0.95)
     report = verify_intensities(configs, finite_kernel(wrong_basis), partition, level=1e-3)

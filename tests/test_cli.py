@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import hplab
+from hplab import truncation
 from hplab.cli import (
     _KEYS,
     COMMANDS,
@@ -130,11 +132,13 @@ def test_points_csv_matches_csv_writer(tmp_path):
         assert (tmp_path / "points.csv").read_bytes() == ref.read_bytes()
 
 
-def test_run_sample_deterministic_across_workers(tmp_path):
-    cfg1 = parse_config(_base_sample(tmp_path, output_dir=str(tmp_path / "a")))
-    cfg2 = parse_config(_base_sample(tmp_path, output_dir=str(tmp_path / "b")))
-    run(cfg1, workers=1)
-    run(cfg2, workers=3)
+def test_run_sample_deterministic_across_workers(tmp_path, monkeypatch):
+    # 600 samples are three chunks; the manifest records the threads used
+    for cpus, out in ((1, "a"), (3, "b")):
+        monkeypatch.setattr(truncation, "_cpu_count", lambda: cpus)
+        cfg = parse_config(_base_sample(tmp_path, samples=600, output_dir=str(tmp_path / out)))
+        _, manifest = run(cfg)
+        assert manifest["workers"] == cpus
     assert (tmp_path / "a" / "points.csv").read_bytes() == (
         tmp_path / "b" / "points.csv"
     ).read_bytes()
@@ -182,7 +186,7 @@ def test_run_verify_dpp_passes(tmp_path):
             "output_dir": str(tmp_path),
         }
     )
-    code, manifest = run(cfg, workers=2)
+    code, manifest = run(cfg)
     assert code == 0
     assert manifest["passed"] is True
     report = json.loads((tmp_path / "report.json").read_text())
@@ -301,10 +305,25 @@ def test_main_error_exit_codes(tmp_path, capsys):
     # config validation failure
     path = _write(tmp_path, "c.json", _base_sample(tmp_path, delta=-0.3))
     assert main(["sample", "--config", path]) == 2
-    # bad workers
-    path = _write(tmp_path, "d.json", _base_sample(tmp_path))
-    assert main(["sample", "--config", path, "--workers", "0"]) == 2
     capsys.readouterr()
+
+
+def test_main_exits_3_on_a_chunk_error(tmp_path, monkeypatch, capsys):
+    # every QR after the first returns a Q that is not unitary, so a chunk
+    # other than the first fails on its worker thread
+    monkeypatch.setattr(truncation, "_cpu_count", lambda: 3)
+    real_qr = np.linalg.qr
+    calls = itertools.count()  # next() on it is atomic
+
+    def qr(a):
+        q, r = real_qr(a)
+        return (q, r) if next(calls) == 0 else (1.001 * q, r)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    path = _write(tmp_path, "cfg.json", _base_sample(tmp_path, delta=0.0, sampler="haar",
+                                                     samples=600))
+    assert main(["sample", "--config", path]) == 3
+    assert "not unitary" in capsys.readouterr().err
 
 
 def test_hopeless_rejection_run_refused(tmp_path, capsys):
@@ -385,7 +404,7 @@ def test_main_refuses_n_above_the_gram_cap(tmp_path, capsys, command, extra, whe
 def test_verify_dpp_builds_the_kernel_before_sampling(tmp_path, capsys):
     # the moment series refuses this Gram matrix; the run ends before the
     # sampler is called, so no points.csv is written and it takes no MH time
-    data = {"seed": 1, "n": 2, "m": 1, "delta": [-0.3, 5.0], "samples": 2000,
+    data = {"seed": 1, "n": 2, "m": 1, "delta": [-0.3, 50.0], "samples": 2000,
             "sampler": "hp_mh", "output_dir": str(tmp_path / "out")}
     path = _write(tmp_path, "cfg.json", data)
     t0 = time.perf_counter()

@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from hplab import truncation
+from hplab.errors import NumericalError
 from hplab.rng import RngStream
 from hplab.sampling import HPParams, MHConfig, sample_haar_unitary
 from hplab.truncation import (
     ENSEMBLE_CHUNK,
     eigenvalues,
+    ensemble_threads,
     sample_truncation_ensemble,
     truncate,
 )
@@ -57,12 +62,19 @@ def test_ensemble_sampler_validation():
         sample_truncation_ensemble(HPParams(2, 1, -0.3), 4, "hp_rejection", RngStream(0))
 
 
-def test_ensemble_worker_invariance():
+def _on_cpus(monkeypatch, cpus, params, count, sampler, seed, **kw):
+    """The ensemble as a process with ``cpus`` CPUs draws it."""
+    monkeypatch.setattr(truncation, "_cpu_count", lambda: cpus)
+    return sample_truncation_ensemble(params, count, sampler, RngStream(seed), **kw)
+
+
+def test_ensemble_worker_invariance(monkeypatch):
     params = HPParams(2, 1, 0.0)
-    count = ENSEMBLE_CHUNK + 40
-    a = sample_truncation_ensemble(params, count, "haar", RngStream(11), workers=1)
-    b = sample_truncation_ensemble(params, count, "haar", RngStream(11), workers=3)
-    assert np.array_equal(a, b)
+    count = 2 * ENSEMBLE_CHUNK + 40
+    a = _on_cpus(monkeypatch, 1, params, count, "haar", 11)
+    b = _on_cpus(monkeypatch, 3, params, count, "haar", 11)
+    assert ensemble_threads(count, "haar") == 3
+    assert a.tobytes() == b.tobytes()
 
 
 def test_ensemble_chunk_prefix_stability():
@@ -73,12 +85,30 @@ def test_ensemble_chunk_prefix_stability():
     assert np.array_equal(small, big[:ENSEMBLE_CHUNK])
 
 
-def test_rejection_ensemble_worker_invariance():
+def test_rejection_ensemble_worker_invariance(monkeypatch):
     params = HPParams(2, 1, 1.0)
-    count = ENSEMBLE_CHUNK + 40
-    a = sample_truncation_ensemble(params, count, "hp_rejection", RngStream(11), workers=1)
-    b = sample_truncation_ensemble(params, count, "hp_rejection", RngStream(11), workers=3)
-    assert np.array_equal(a, b)
+    count = 2 * ENSEMBLE_CHUNK + 40
+    a = _on_cpus(monkeypatch, 1, params, count, "hp_rejection", 11)
+    b = _on_cpus(monkeypatch, 3, params, count, "hp_rejection", 11)
+    assert ensemble_threads(count, "hp_rejection") == 3
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_ensemble_chunk_error_reaches_the_caller(monkeypatch, cpus):
+    # every QR after the first returns a Q that is not unitary, so a chunk
+    # other than the first raises on its worker thread
+    monkeypatch.setattr(truncation, "_cpu_count", lambda: cpus)
+    real_qr = np.linalg.qr
+    calls = itertools.count()  # next() on it is atomic
+
+    def qr(a):
+        q, r = real_qr(a)
+        return (q, r) if next(calls) == 0 else (1.001 * q, r)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    with pytest.raises(NumericalError, match="not unitary"):
+        sample_truncation_ensemble(HPParams(2, 1, 0.0), 3 * ENSEMBLE_CHUNK, "haar", RngStream(5))
 
 
 def test_rejection_ensemble_chunk_prefix_stability():
@@ -106,12 +136,14 @@ def test_haar_ensemble_equals_per_draw_loop(n, m):
         assert got.tobytes() == ref.tobytes()
 
 
-def test_mh_ensemble_deterministic_and_ignores_workers():
+def test_mh_ensemble_deterministic_and_ignores_workers(monkeypatch):
     params = HPParams(2, 1, complex(-0.25, 0.0))
     cfg = MHConfig(burn_in=50, thinning=2)
-    a = sample_truncation_ensemble(params, 40, "hp_mh", RngStream(17), mh=cfg, workers=1)
-    b = sample_truncation_ensemble(params, 40, "hp_mh", RngStream(17), mh=cfg, workers=4)
-    assert np.array_equal(a, b)
+    count = ENSEMBLE_CHUNK + 40
+    a = _on_cpus(monkeypatch, 1, params, count, "hp_mh", 17, mh=cfg)
+    b = _on_cpus(monkeypatch, 3, params, count, "hp_mh", 17, mh=cfg)
+    assert ensemble_threads(count, "hp_mh") == 1
+    assert a.tobytes() == b.tobytes()
 
 
 def test_single_point_haar_truncation_is_uniform_disc():

@@ -179,6 +179,20 @@ def test_moment_series_at_large_degree():
     assert abs(s - q) <= 1e-10 * abs(q)
 
 
+@pytest.mark.parametrize("delta", [2.5j, 3j, -0.3 + 2j, -0.45 + 2j, 1 + 3j])
+@pytest.mark.parametrize("n", [1, 2, 20])
+def test_gram_matrix_longer_head_at_moderate_imaginary_delta(n, delta):
+    # the 80-step head leaves a tail error estimate over 1e-14 here, and
+    # gram_matrix(1, 1, 3j) once raised; the entries are summed again with a
+    # longer head.  Errors are on the scale sqrt(c_jj c_kk) that bounds |c_jk|.
+    g = gram_matrix(n, 1, delta)
+    for j in range(n):
+        for k in range(j + 1):
+            q = moment_quadrature(j, k, 1, delta)
+            scale = math.sqrt(abs(g[j, j] * g[k, k]))
+            assert abs(g[j, k] - q) <= 1e-12 * scale, (j, k, g[j, k], q)
+
+
 def test_gram_matrix_tolerance_refused():
     with pytest.raises(NumericalError, match=r"j=\d+ k=\d+ m=1 delta=\(1\+2j\)"):
         gram_matrix(48, 1, complex(1.0, 2.0), tol=1e-20)
