@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NumericalError, check_params
 from .weights import WeightSpec, check_basis_size, gram_matrix
@@ -90,26 +89,25 @@ def leading_coefficients(basis: PolynomialBasis) -> np.ndarray:
     return lead.copy()
 
 
-def _orthonormality_residual(c: np.ndarray, g: np.ndarray) -> float:
-    """Max deviation of ``int P_k conj(P_l) w dA`` from the identity.
+def orthonormal_basis(n: int, m: int, delta: complex) -> PolynomialBasis:
+    """Orthonormal polynomials P_0, ..., P_{n-1} for the disc weight (m, delta).
 
-    With G[i, j] = int z^i conj(z)^j w dA that integral is
-    ``(C^T G conj(C))[k, l]``; note the transpose rather than the conjugate
-    transpose, which matters once delta (hence G) is complex.
+    With G = ``gram_matrix(n, m, delta)``, G[i, j] = int z^i conj(z)^j w dA,
+    the coefficient matrix C (``P_k(z) = sum_i C[i, k] z^i``) must satisfy
+    C^T G conj(C) = I: ``(C^T G conj(C))[k, l]`` is ``int P_k conj(P_l) w dA``,
+    a transpose rather than a conjugate transpose, which matters once delta
+    (hence G) is complex.  The diagonally equilibrated conjugate Gram matrix
+    is factored by Cholesky: with D = diag(d), d_i = G_{i,i}^(-1/2),
+    D conj(G) D = L L*, and C = D L^(-*) is upper triangular with real
+    positive diagonal.  If the residual E = C^T G conj(C) - I exceeds 1e-9 in
+    some entry, one refinement step right-multiplies C by conj(S)^(-1), where
+    I + E = S^H S with S upper triangular.  A residual still over 1e-9 raises
+    :class:`NumericalError`, naming it and the condition number of D conj(G) D;
+    this happens within the size cap at large |Im delta| or Re delta, for
+    example at (30, 1, 4i).  ``gram_matrix`` checks n against its cap.
     """
-    n = g.shape[0]
-    return float(np.max(np.abs(c.T @ g @ np.conj(c) - np.eye(n))))
-
-
-def _coeffs_from_gram(g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coefficient matrix C with C^T G conj(C) = I, plus the residual.
-
-    Works on the diagonally equilibrated conjugate Gram matrix: with
-    D = diag(d), d_i = c_{i,i}^(-1/2), factor D conj(G) D = L L* and take
-    C = D L^(-*), which is upper triangular with real positive diagonal and
-    makes the polynomials P_k(z) = sum_i C[i, k] z^i orthonormal.
-    """
-    n = g.shape[0]
+    delta = complex(delta)
+    g = gram_matrix(n, m, delta)
     d = 1.0 / np.sqrt(np.real(np.diag(g)))
     gh = np.conj(g) * d[:, None] * d[None, :]
     gh = 0.5 * (gh + gh.conj().T)
@@ -117,36 +115,19 @@ def _coeffs_from_gram(g: np.ndarray) -> tuple[np.ndarray, float]:
         low = np.linalg.cholesky(gh)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("Gram matrix is not numerically positive definite") from exc
-    c = d[:, None] * solve_triangular(low.conj().T, np.eye(n), lower=False)
-    return c, _orthonormality_residual(c, g)
-
-
-def orthonormal_basis(n: int, m: int, delta: complex) -> PolynomialBasis:
-    """Orthonormal polynomials P_0, ..., P_{n-1} for the disc weight (m, delta).
-
-    The Gram matrix of monomial moments is factored by Cholesky after diagonal
-    equilibration.  If the orthonormality residual exceeds 1e-9 a single
-    refinement step is applied; failure after that raises
-    :class:`NumericalError`.  ``gram_matrix`` checks n against its cap.
-    """
-    delta = complex(delta)
-    g = gram_matrix(n, m, delta)
-    c, resid = _coeffs_from_gram(g)
-    if resid > 1e-9:
-        e = c.T @ g @ np.conj(c) - np.eye(n)
+    c = d[:, None] * np.linalg.inv(low.conj().T)
+    e = c.T @ g @ np.conj(c) - np.eye(n)
+    if np.max(np.abs(e)) > 1e-9:
         try:
             lm = np.linalg.cholesky(np.eye(n) + 0.5 * (e + e.conj().T))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("orthonormality refinement failed") from exc
-        # right-multiply by conj(S)^(-1) where I + E = S^H S, S upper
-        c = solve_triangular(lm, c.T, lower=True).T
-        resid = _orthonormality_residual(c, g)
+        c = np.linalg.solve(lm, c.T).T
+        resid = np.max(np.abs(c.T @ g @ np.conj(c) - np.eye(n)))
         if resid > 1e-9:
-            cond = np.linalg.cond(g * (1.0 / np.sqrt(np.real(np.diag(g))))[:, None]
-                                  * (1.0 / np.sqrt(np.real(np.diag(g))))[None, :])
             raise NumericalError(
                 f"orthonormality residual {resid:.3e} exceeds 1e-9 at n={n}, m={m}, "
-                f"delta={delta} (equilibrated condition number {cond:.3e})"
+                f"delta={delta} (equilibrated condition number {np.linalg.cond(gh):.3e})"
             )
     return PolynomialBasis(n, m, delta, c)
 

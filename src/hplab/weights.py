@@ -47,8 +47,10 @@ __all__ = [
     "gram_matrix",
 ]
 
-# Largest basis size gram_matrix will build; conditioning of the monomial Gram
-# matrix grows with n, and this range is validated to orthonormalize cleanly.
+# Largest basis size gram_matrix will build.  The monomial Gram matrix's
+# conditioning grows with n, and some parameters refuse to orthonormalize
+# below this cap: real delta = 5 at n = 40 (m = 1 to 4) and at n = 48 (m up
+# to 6), 4i from n = 30 and 1+4i from n = 40 (m = 1).
 GRAM_MAX_N = 48
 
 
@@ -131,9 +133,6 @@ _HEAD_STEPS = 80
 _HEAD_MAX_STEPS = 8 * _HEAD_STEPS
 # Gauss-Jacobi nodes of the tail integral.
 _TAIL_NODES = 32
-# The pair axis of a batch is cut into chunks of at most this many
-# (pair, node) points, which bounds the tail's working memory.
-_PAIR_NODE_BUDGET = 2**18
 # Most terms kept of the expansion of a log-gamma difference.
 _LGAMMA_TERMS = 40
 
@@ -279,12 +278,9 @@ def _moments(j, k, m: int, delta: complex, tol: float) -> np.ndarray:
     k = np.asarray(k, dtype=np.int64)
     vals = np.empty(len(j), dtype=np.complex128)
     est = np.empty(len(j))
-    chunk = _PAIR_NODE_BUDGET // _TAIL_NODES
     todo, head = np.arange(len(j)), _HEAD_STEPS
     while len(todo) and head <= _HEAD_MAX_STEPS:
-        for lo in range(0, len(todo), chunk):
-            idx = todo[lo : lo + chunk]
-            vals[idx], est[idx] = _moment_batch(j[idx], k[idx], m, delta, head)
+        vals[todo], est[todo] = _moment_batch(j[todo], k[todo], m, delta, head)
         ratio = est / (tol * np.maximum(1.0, np.abs(vals)))
         ratio[~np.isfinite(vals) | ~np.isfinite(ratio)] = np.inf
         todo, head = np.flatnonzero(ratio > 1.0), 2 * head
@@ -377,19 +373,14 @@ def moment_quadrature(
     return complex(np.sum(w * z**j * np.conj(z) ** k))
 
 
-@lru_cache(maxsize=None)
-def _gram_cached(n: int, m: int, delta: complex, tol: float) -> np.ndarray:
-    jj, kk = np.tril_indices(n)
-    vals = _moments(jj, kk, m, delta, tol)
-    g = np.empty((n, n), dtype=np.complex128)
-    g[jj, kk] = vals
-    g[kk, jj] = np.conj(vals)
-    g.setflags(write=False)
-    return g
-
-
 def gram_matrix(n: int, m: int, delta: complex, tol: float = 1e-14) -> np.ndarray:
     """Hermitian matrix ``G[j, k] = c_{j,k}`` of monomial moments, 0 <= j, k < n."""
     check_basis_size(n)
     delta = _check_moment_args(0, 0, m, delta)
-    return _gram_cached(int(n), int(m), delta, float(tol)).copy()
+    n = int(n)
+    jj, kk = np.tril_indices(n)
+    vals = _moments(jj, kk, int(m), delta, float(tol))
+    g = np.empty((n, n), dtype=np.complex128)
+    g[jj, kk] = vals
+    g[kk, jj] = np.conj(vals)
+    return g

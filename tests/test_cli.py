@@ -173,6 +173,16 @@ def test_main_basis_near_the_lower_delta_bound(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_basis_exits_3_when_orthonormalization_fails(tmp_path, capsys):
+    # (30, 1, 4i) is within the size cap, but one refinement step leaves the
+    # orthonormality residual over 1e-9
+    path = _write(tmp_path, "cfg.json", {"command": "basis", "seed": 0, "n": 30, "m": 1,
+                                         "delta": [0.0, 4.0], "output_dir": str(tmp_path / "out")})
+    assert main(["basis", "--config", path]) == 3
+    assert "orthonormality residual" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "basis.csv").exists()
+
+
 def test_run_verify_dpp_passes(tmp_path):
     cfg = parse_config(
         {
@@ -369,11 +379,12 @@ def test_mh_sampler_through_cli(tmp_path):
 
 
 def test_import_loads_no_scipy_stats_or_mpmath():
-    # a fresh `import hplab.cli` pulls in neither module: they dominated its
-    # set-up time and hplab needs neither
+    # a fresh `import hplab.cli` pulls in none of these: scipy.stats and
+    # mpmath dominated its set-up time, and each scipy.linalg call woke
+    # SciPy's own BLAS threads, which then busy-waited
     code = (
         "import sys, hplab.cli\n"
-        "loaded = [k for k in ('scipy.stats', 'mpmath') if k in sys.modules]\n"
+        "loaded = [k for k in ('scipy.stats', 'mpmath', 'scipy.linalg') if k in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(hplab.__file__).resolve().parents[1])}

@@ -1,10 +1,12 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hplab.dpp import default_convergence_grid
+from hplab.errors import NumericalError
 from hplab.orthopoly import (
     PolynomialBasis,
     bergman_kernel,
@@ -39,6 +41,25 @@ def test_orthonormality_large_degree():
     basis = orthonormal_basis(48, 2, complex(1.0, 2.0))
     g = gram_matrix(48, 2, complex(1.0, 2.0))
     assert _residual(basis, g) < 1e-9
+
+
+@pytest.mark.parametrize("m, delta", [(2, 4j), (1, 1 + 4j)])
+def test_refinement_step_rescues_the_basis(m, delta):
+    # the Cholesky pass alone leaves residual 1.07e-9 at (30, 2, 4i) and
+    # 1.18e-9 at (30, 1, 1+4i); one refinement step brings both under 1e-9
+    basis = orthonormal_basis(30, m, delta)
+    assert _residual(basis, gram_matrix(30, m, delta)) <= 1e-9
+    assert np.all(np.triu(basis.coeffs) == basis.coeffs)
+    assert np.all(leading_coefficients(basis) > 0)
+
+
+def test_refusal_names_residual_and_condition_number():
+    # at (30, 1, 4i) the refined residual is still 1.55e-9
+    with pytest.raises(NumericalError, match="at n=30, m=1, delta=4j") as info:
+        orthonormal_basis(30, 1, 4j)
+    resid, cond = (float(x) for x in re.findall(r"\d\.\d+e[+-]\d+", str(info.value)))
+    assert 1e-9 < resid < 1e-8
+    assert 1e8 < cond < 1e9
 
 
 def test_leading_coefficients_positive():

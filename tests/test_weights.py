@@ -4,13 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hplab import weights
 from hplab.errors import NumericalError
 from hplab.orthopoly import orthonormal_basis
 from hplab.weights import (
     GRAM_MAX_N,
     WeightSpec,
-    _gram_cached,
     disc_weight_nodes,
     gram_matrix,
     moment_quadrature,
@@ -196,19 +194,6 @@ def test_gram_matrix_longer_head_at_moderate_imaginary_delta(n, delta):
 def test_gram_matrix_tolerance_refused():
     with pytest.raises(NumericalError, match=r"j=\d+ k=\d+ m=1 delta=\(1\+2j\)"):
         gram_matrix(48, 1, complex(1.0, 2.0), tol=1e-20)
-
-
-def test_gram_matrix_chunks_agree(monkeypatch):
-    # the pair axis is cut into chunks of a fixed (pair, node) budget
-    delta = complex(-0.3, 0.7)
-    whole = gram_matrix(20, 2, delta)
-    _gram_cached.cache_clear()
-    monkeypatch.setattr(weights, "_PAIR_NODE_BUDGET", 7 * weights._TAIL_NODES)
-    try:
-        chunked = gram_matrix(20, 2, delta)
-    finally:
-        _gram_cached.cache_clear()
-    assert np.allclose(chunked, whole, rtol=1e-15, atol=0)
 
 
 def test_basis_orthonormal_near_the_lower_delta_bound():
