@@ -5,7 +5,8 @@ description of the eigenvalue process:
 
 * :func:`sample_projection_dpp` draws exact configurations of the n-point
   determinantal process directly from its projection kernel, with no matrices
-  involved, via the sequential conditional-density algorithm.
+  involved, via the sequential conditional-density algorithm; its proposals
+  come from a gauge-shifted disc weight under a proven acceptance bound.
 * :func:`verify_intensities` compares empirical cell counts (and pair
   counts) of any ensemble against the exact first and second factorial
   moments computed from a kernel by quadrature.
@@ -433,23 +434,73 @@ def _phi_table(m: int, delta: complex):
     return log_h, cdf / cdf[-1]
 
 
-def _sampler_plan(basis: PolynomialBasis):
-    """(k_sup, phi table) of the conditional sampler for ``basis``.
+def _weight_mass(m: int, delta: complex) -> float:
+    """int w dA = pi Gamma(m) Gamma(m+1+2a) / |Gamma(m+1+delta)|^2, a = Re delta."""
+    log_mass = (
+        sp.gammaln(m) + sp.gammaln(m + 1.0 + 2.0 * delta.real)
+        - 2.0 * sp.loggamma(m + 1.0 + delta).real
+    )
+    return math.pi * math.exp(log_mass)
 
-    k_sup is 1.1 times the maximum of K(z, z) on N = max(4096, 8n) points of
-    the unit circle, and it bounds K(z, z) on the whole closed disc:
 
-    * K(z, z) is subharmonic (a sum of |analytic|^2), so its maximum over the
-      disc is attained on the circle;
-    * there it is a nonnegative trigonometric polynomial T of degree n - 1.
-      Bernstein's inequality, applied twice, gives |T''| <= (n-1)^2 max T;
-      at the maximiser T' = 0 and the nearest grid point lies within pi/N,
-      so max T <= grid max / (1 - (pi (n-1) / N)^2 / 2) <= 1.084 grid max.
+def _gauge_sups(basis: PolynomialBasis, shifts) -> list[float]:
+    """Proven bounds on sup over the disc of K(z, z) |(1-z)^c|^2, one per c.
+
+    Each c needs Re c >= 0.  Then every P_k(z) (1-z)^c is analytic and
+    bounded, so the sum of their squared moduli is subharmonic and its
+    supremum over the disc is reached on the circle z = e^(i theta), where
+    it is T(theta) E(theta) with
+
+        T = K(z, z),  E = (2 sin(theta/2))^(2 Re c) e^(-Im c (theta - pi)).
+
+    T is a nonnegative trigonometric polynomial of degree n - 1, evaluated
+    on N + 1 = max(4096, 8 n^2) + 1 points theta_j = 2 pi j / N.  On a cell
+    [theta_j, theta_j+1], linear interpolation and Bernstein's inequality
+    |T''| <= (n-1)^2 max T give T <= max(T_j, T_j+1) + s max T with
+    s = (pi (n-1) / N)^2 / 2, and max T <= grid max / (1 - s).  E is
+    log-concave with its peak at 2 atan2(Re c, Im c), so on a cell it is
+    largest at the peak if the cell holds it and at an end otherwise.  The
+    bound is the largest cell product.
     """
-    count = max(4096, 8 * basis.n)
-    vals = basis.evaluate(np.exp(2j * math.pi * np.arange(count) / count))
-    k_sup = 1.1 * float(np.max(np.sum(np.abs(vals) ** 2, axis=0)))
-    return k_sup, _phi_table(basis.m, basis.delta)
+    count = max(4096, 8 * basis.n**2)
+    theta = 2.0 * math.pi * np.arange(count + 1) / count
+    t = np.sum(np.abs(basis.evaluate(np.exp(1j * theta))) ** 2, axis=0)
+    s = 0.5 * (math.pi * (basis.n - 1) / count) ** 2
+    cell_t = np.maximum(t[:-1], t[1:]) + s * np.max(t) / (1.0 - s)
+
+    sups = []
+    for c in shifts:
+        c = complex(c)
+        peak = 2.0 * math.atan2(c.real, c.imag)
+        x = np.append(theta, peak)
+        e = (2.0 * np.sin(0.5 * x)) ** (2.0 * c.real) * np.exp(-c.imag * (x - math.pi))
+        cell_e = np.maximum(e[:-2], e[1:-1])
+        # the cells on either side of the peak's computed cell take the global
+        # maximum too, so rounding in that index cannot lose the peak
+        j = min(int(peak / (2.0 * math.pi / count)), count - 1)
+        cell_e[max(j - 1, 0):j + 2] = e[-1]
+        sups.append(float(np.max(cell_t * cell_e)))
+    return sups
+
+
+def _sampler_plan(basis: PolynomialBasis):
+    """(delta', k_sup, phi table) of the conditional sampler for ``basis``.
+
+    Proposals come from the weight w_delta' with delta' one of
+    {delta, min(Re delta, 0)}, and the acceptance carries the gauge factor
+    |(1-z)^c|^2 = w_delta / w_delta', c = delta - delta', which flattens
+    K(z, z) near z = 1.  k_sup is the proven bound of :func:`_gauge_sups`
+    on K(z, z) |(1-z)^c|^2.  Up to the f/h thinning rate, the expected
+    number of proposals per point is proportional to k_sup times the
+    proposal weight's mass (:func:`_weight_mass`), and the candidate with
+    the smaller product wins: neither is best for every basis.
+    """
+    delta = basis.delta
+    candidates = [delta, complex(min(delta.real, 0.0))]
+    sups = _gauge_sups(basis, [delta - d for d in candidates])
+    costs = [k * _weight_mass(basis.m, d) for k, d in zip(sups, candidates)]
+    best = int(np.argmin(costs))
+    return candidates[best], sups[best], _phi_table(basis.m, candidates[best])
 
 
 def _propose_batch(table, m: int, delta: complex, rng: RngStream):
@@ -483,53 +534,74 @@ def sample_projection_dpp(
 
     Sequential conditional sampling (Hough, Krishnapur, Peres and Virag): the
     i-th point is drawn from the conditional density
-    (K(z,z) - sum_l |psi_l(z)|^2) w(z) given the previous points, by
-    rejection from proposals drawn exactly from w itself
-    (:func:`_propose_batch`).  A proposal is kept with probability
-    (K(z,z) - sum_l |psi_l(z)|^2) / k_sup * f(phi) / h(phi), where k_sup is
-    the proven bound of :func:`_sampler_plan`; the weight and its normaliser
-    never enter.  A ratio above 1 + 1e-9 means the bound failed and raises
-    :class:`NumericalError`.
+    (K(z,z) - sum_l |psi_l(z)|^2) w_delta(z) given the previous points, by
+    rejection from exact draws of the weight w_delta' that
+    :func:`_sampler_plan` chose (:func:`_propose_batch`).  A proposal is
+    kept with probability
+
+        (K(z,z) - sum_l |psi_l(z)|^2) |(1-z)^c|^2 / k_sup * f(phi) / h(phi),
+
+    with c = delta - delta' and k_sup the plan's proven bound; the weights'
+    normalisers never enter.  A ratio above 1 + 1e-9 means the bound failed
+    and raises :class:`NumericalError`.
+
+    One stream of proposals serves the whole configuration: after point i
+    keeps proposal j, point i + 1 starts at proposal j + 1, and a new batch
+    is drawn only when the current one is used up.  The index of the first
+    kept proposal is a stopping time of an i.i.d. stream, so the proposals
+    after it are fresh draws.  ``return_proposals`` also returns the number
+    of proposals examined.
     """
     n = basis.n
     if basis.sampler_plan is None:
         object.__setattr__(basis, "sampler_plan", _sampler_plan(basis))
-    k_sup, table = basis.sampler_plan
+    delta_p, k_sup, table = basis.sampler_plan
+    c = basis.delta - delta_p
 
     points = np.empty(n, dtype=np.complex128)
     feats = np.empty((n, n), dtype=np.complex128)
     proposals = 0
+    pos = _PROPOSAL_BATCH
     for i in range(n):
         while True:
-            z, thin, u = _propose_batch(table, basis.m, basis.delta, rng)
-            proposals += _PROPOSAL_BATCH
-            inside = np.abs(z) < 1.0
-            vals = basis.evaluate(z[inside])
-            kdiag = np.sum(np.abs(vals) ** 2, axis=0)
+            if pos == _PROPOSAL_BATCH:
+                z, thin, u = _propose_batch(table, basis.m, delta_p, rng)
+                inside = np.abs(z) < 1.0
+                one_minus = 1.0 - z[inside]
+                scale = np.zeros(_PROPOSAL_BATCH)
+                scale[inside] = thin[inside] / k_sup * (
+                    np.abs(one_minus) ** (2.0 * c.real) * np.exp(-2.0 * c.imag * np.angle(one_minus))
+                )
+                vals = basis.evaluate(z)
+                kdiag = np.sum(np.abs(vals) ** 2, axis=0)
+                pos = 0
+            kd = kdiag[pos:]
             if i:
-                amp = feats[:i] @ vals
-                kdiag = kdiag - np.sum(np.abs(amp) ** 2, axis=0)
-            ratio = np.zeros(_PROPOSAL_BATCH)
-            ratio[inside] = np.clip(kdiag, 0.0, None) / k_sup * thin[inside]
+                kd = kd - np.sum(np.abs(feats[:i] @ vals[:, pos:]) ** 2, axis=0)
+            ratio = np.clip(kd, 0.0, None) * scale[pos:]
             if np.any(ratio > 1.0 + 1e-9):
                 raise NumericalError(
                     f"DPP acceptance ratio {np.max(ratio):.6g} exceeds 1: the kernel "
                     f"bound {k_sup:.6g} does not hold"
                 )
-            hits = np.flatnonzero(u < ratio)
+            hits = np.flatnonzero(u[pos:] < ratio)
             if hits.size:
-                idx = int(hits[0])
+                idx = pos + int(hits[0])
+                proposals += idx + 1 - pos
+                pos = idx + 1
                 break
+            proposals += _PROPOSAL_BATCH - pos
+            pos = _PROPOSAL_BATCH
         points[i] = z[idx]
         # Gram-Schmidt step in coefficient space: the new conditional
-        # direction is c[k] = conj(P_k(z_i)).
-        c = np.conj(basis.evaluate(points[i]))
+        # direction is direction[k] = conj(P_k(z_i)).
+        direction = np.conj(vals[:, idx])
         for l in range(i):
-            c = c - (feats[l].conj() @ c) * feats[l]
-        nrm2 = float(np.real(c.conj() @ c))
+            direction = direction - (feats[l].conj() @ direction) * feats[l]
+        nrm2 = float(np.real(direction.conj() @ direction))
         if nrm2 <= 1e-14 * max(k_sup, 1.0):
             raise NumericalError("degenerate conditional in DPP sampler")
-        feats[i] = c / math.sqrt(nrm2)
+        feats[i] = direction / math.sqrt(nrm2)
     if return_proposals:
         return points, proposals
     return points

@@ -50,8 +50,8 @@ class PolynomialBasis:
     m: int
     delta: complex
     coeffs: np.ndarray = field(repr=False)
-    # (k_sup, phi table) of the DPP sampler, built on first use by
-    # hplab.dpp._sampler_plan; subbasis starts without one.
+    # (proposal delta', k_sup, phi table) of the DPP sampler, built on first
+    # use by hplab.dpp._sampler_plan; subbasis starts without one.
     sampler_plan: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):

@@ -12,9 +12,11 @@ from hplab.dpp import (
     _bergman_decimal,
     _cell_rules,
     _decimal_dets,
+    _gauge_sups,
     _phi_table,
     _propose_batch,
     _sampler_plan,
+    _weight_mass,
     bonferroni_threshold,
     convergence_profile,
     default_convergence_grid,
@@ -180,13 +182,23 @@ def test_dpp_sampler_plan_lives_on_basis():
     assert basis.sampler_plan is plan
     assert basis.subbasis(2).sampler_plan is None
     # a kernel bound far too small is reported, not repaired
-    k_sup, table = plan
-    object.__setattr__(basis, "sampler_plan", (1e-3 * k_sup, table))
+    delta_p, k_sup, table = plan
+    object.__setattr__(basis, "sampler_plan", (delta_p, 1e-3 * k_sup, table))
     with pytest.raises(NumericalError, match="kernel bound"):
         sample_projection_dpp(basis, RngStream(2))
 
 
+def test_dpp_plan_picks_the_cheaper_proposal_weight():
+    # proposing from w_0 flattens the peak of K(z, z) at z = 1 for delta = 1,
+    # but at (3, 3, 2i) the gauge factor e^(-2b arg(1-z)) costs more than it saves
+    assert _sampler_plan(orthonormal_basis(6, 1, 1.0))[0] == 0
+    assert _sampler_plan(orthonormal_basis(3, 3, 2j))[0] == 2j
+
+
 DELTA_SET = (0.0, 1.0, complex(1.0, 2.0), complex(-0.3, 0.0), complex(-0.3, 0.7))
+# the delta set plus the cases farthest from it that the gauge bound meets:
+# large |Im delta|, Re delta near -1/2 and a large real delta
+BOUND_DELTAS = DELTA_SET + (2j, complex(-0.45, 2.0), 3.0)
 
 
 @pytest.mark.parametrize("m", (1, 3))
@@ -212,17 +224,99 @@ def test_dpp_proposals_follow_the_reference_weight(m, delta):
     assert p > 1e-4, (m, delta, p)
 
 
+def _gauge(z, c):
+    """|(1-z)^c|^2 on the principal branch."""
+    one_minus = 1.0 - z
+    return np.abs(one_minus) ** (2.0 * c.real) * np.exp(-2.0 * c.imag * np.angle(one_minus))
+
+
 def test_dpp_kernel_bound_holds_on_a_finer_circle():
-    # k_sup >= max K(z, z) on a circle grid 16x finer than the plan's
+    # k_sup >= K(z, z) |(1-z)^c|^2 for both candidate proposal weights, on a
+    # circle grid 16x finer than the bound's at n = 48 (finer still for the
+    # smaller n) and at 2000 interior points
+    sizes = (1, 6, 48)
+    count = 16 * max(4096, 8 * sizes[-1] ** 2)
+    rng = RngStream(29)
+    inner = np.sqrt(rng.random(2000)) * np.exp(2j * np.pi * rng.random(2000))
+    z = np.concatenate([np.exp(2j * np.pi * (np.arange(count) + 0.5) / count), inner])
     for m in (1, 3):
-        for delta in DELTA_SET:
-            full = orthonormal_basis(48, m, delta)
-            for n in (1, 6, 48):
+        for delta in BOUND_DELTAS:
+            delta = complex(delta)
+            full = orthonormal_basis(sizes[-1], m, delta)
+            # K_n(z, z) for each n in sizes, one row each
+            kdiag = np.concatenate([
+                np.cumsum(np.abs(full.evaluate(part)) ** 2, axis=0)[[n - 1 for n in sizes]]
+                for part in np.array_split(z, 16)
+            ], axis=1)
+            candidates = (delta, complex(min(delta.real, 0.0)))
+            for row, n in zip(kdiag, sizes):
                 basis = full.subbasis(n)
-                k_sup, _ = _sampler_plan(basis)
-                count = 16 * max(4096, 8 * n)
-                vals = basis.evaluate(np.exp(2j * np.pi * np.arange(count) / count))
-                assert k_sup >= np.max(np.sum(np.abs(vals) ** 2, axis=0)), (n, m, delta)
+                sups = _gauge_sups(basis, [delta - d for d in candidates])
+                delta_p, k_sup, _ = _sampler_plan(basis)
+                assert k_sup == sups[candidates.index(delta_p)], (n, m, delta)
+                for d, sup in zip(candidates, sups):
+                    assert sup >= np.max(row * _gauge(z, delta - d)), (n, m, delta, d)
+
+
+@pytest.mark.parametrize("m", (1, 3))
+@pytest.mark.parametrize("delta", BOUND_DELTAS)
+def test_weight_mass_matches_the_moment_series(m, delta):
+    mass = _weight_mass(m, complex(delta))
+    assert abs(mass / moment_series(0, 0, m, delta).real - 1.0) < 1e-13, (m, delta)
+
+
+def _stepwise_dpp(basis, rng):
+    """Reference sampler: one proposal at a time from one stream per configuration."""
+    delta_p, k_sup, table = basis.sampler_plan
+    c = basis.delta - delta_p
+    feats = np.zeros((0, basis.n), dtype=np.complex128)
+    points, examined, batch = [], 0, []
+    while len(points) < basis.n:
+        if not batch:
+            batch = list(zip(*_propose_batch(table, basis.m, delta_p, rng)))
+        z, thin, u = batch.pop(0)
+        examined += 1
+        if abs(z) >= 1.0:
+            continue
+        vals = basis.evaluate(z)
+        ratio = max(np.sum(np.abs(vals) ** 2) - np.sum(np.abs(feats @ vals) ** 2), 0.0)
+        ratio *= _gauge(z, c) * thin / k_sup
+        if u < ratio:
+            points.append(z)
+            direction = np.conj(vals) - feats.T @ (feats.conj() @ np.conj(vals))
+            feats = np.vstack([feats, direction / np.linalg.norm(direction)])
+    return np.array(points), examined
+
+
+@pytest.mark.parametrize("n, m, delta", [(6, 1, 1.0), (3, 1, 1 + 2j), (6, 1, -0.3 + 0.7j)])
+def test_dpp_sampler_matches_the_stepwise_reference(n, m, delta):
+    # the same points and the same count of examined proposals as a sampler
+    # that takes one proposal at a time, the next point starting right after
+    # the last one kept and a new batch drawn only when one is used up
+    basis = orthonormal_basis(n, m, delta)
+    fast, ref = RngStream(31), RngStream(31)
+    for _ in range(20):
+        pts, examined = sample_projection_dpp(basis, fast, return_proposals=True)
+        ref_pts, ref_examined = _stepwise_dpp(basis, ref)
+        np.testing.assert_allclose(pts, ref_pts, rtol=0, atol=1e-12)
+        assert examined == ref_examined
+    # both streams end on the same draw
+    assert fast.random() == ref.random()
+
+
+@pytest.mark.parametrize(
+    "n, m, delta, count",
+    [(6, 1, 1.0, 4000), (3, 1, 1 + 2j, 4000), (6, 1, -0.3 + 0.7j, 4000), (20, 1, 1.0, 1000)],
+)
+def test_dpp_sampler_matches_kernel_intensities(n, m, delta, count):
+    # cell and pair counts of the sampled configurations against the exact
+    # first and second intensities, on the bench's 4 x 6 partition
+    basis = orthonormal_basis(n, m, delta)
+    rng = RngStream(37)
+    configs = np.array([sample_projection_dpp(basis, rng) for _ in range(count)])
+    part = equal_mass_partition(WeightSpec("hp", m, delta), 4, 6, 0.95)
+    report = verify_intensities(configs, finite_kernel(basis), part)
+    assert report.passed, (report.max_abs_z, report.threshold)
 
 
 def test_dpp_sampler_negative_delta():
