@@ -6,7 +6,7 @@ description of the eigenvalue process:
 * :func:`sample_projection_dpp` draws exact configurations of the n-point
   determinantal process directly from its projection kernel, with no matrices
   involved, via the sequential conditional-density algorithm; its proposals
-  come from a gauge-shifted disc weight under a proven acceptance bound.
+  are exact draws of a gauge-shifted disc weight under a proven bound.
 * :func:`verify_intensities` compares empirical cell counts (and pair
   counts) of any ensemble against the exact first and second factorial
   moments computed from a kernel by quadrature.
@@ -38,7 +38,7 @@ from .orthopoly import (
     limiting_kernel,
     reference_weight,
 )
-from .weights import WeightSpec, weight_eval
+from .weights import WeightSpec, _gauge_factor, _propose_batch, _weight_mass, weight_eval
 
 __all__ = [
     "CellPartition",
@@ -225,10 +225,7 @@ def _kernel_diag(kernel: KernelSpec, z: np.ndarray) -> np.ndarray:
     core = np.abs(1.0 - np.abs(zz) ** 2) ** (-(kernel.m + 1.0))
     if kernel.kind == "bergman":
         return core
-    one_minus = 1.0 - zz
-    a, b = kernel.delta.real, kernel.delta.imag
-    gauge = np.abs(one_minus) ** (-2.0 * a) * np.exp(2.0 * b * np.angle(one_minus))
-    return (kernel.m / math.pi) * gauge * core
+    return (kernel.m / math.pi) * _gauge_factor(zz, -kernel.delta) * core
 
 
 # ---------------------------------------------------------------------------
@@ -407,40 +404,7 @@ def verify_intensities(
 # exact sampling of the projection DPP
 
 
-_PHI_BINS = 64
 _PROPOSAL_BATCH = 64
-
-
-def _log_phi_density(phi, gam: float, b: float):
-    """log f(phi) for f(phi) = cos(phi)^gam exp(-2 b phi), the angular law of w dA."""
-    return gam * np.log(np.cos(phi)) - 2.0 * b * phi
-
-
-def _phi_table(m: int, delta: complex):
-    """Envelope h >= f over ``_PHI_BINS`` equal bins of (-pi/2, pi/2).
-
-    f is log-concave with its peak at phi* = -atan(2b / (2a + 2m)), so on a
-    bin it is largest at phi* if the bin holds it and at the larger end value
-    otherwise.  Returns (log h per bin, cumulative bin probabilities).
-    """
-    gam, b = 2.0 * delta.real + 2.0 * m, delta.imag
-    edges = np.linspace(-0.5 * math.pi, 0.5 * math.pi, _PHI_BINS + 1)
-    ends = _log_phi_density(edges, gam, b)
-    log_h = np.maximum(ends[:-1], ends[1:])
-    peak = -math.atan(2.0 * b / gam)
-    k = min(int((peak + 0.5 * math.pi) / (math.pi / _PHI_BINS)), _PHI_BINS - 1)
-    log_h[k] = _log_phi_density(peak, gam, b)
-    cdf = np.cumsum(np.exp(log_h - log_h[k]))
-    return log_h, cdf / cdf[-1]
-
-
-def _weight_mass(m: int, delta: complex) -> float:
-    """int w dA = pi Gamma(m) Gamma(m+1+2a) / |Gamma(m+1+delta)|^2, a = Re delta."""
-    log_mass = (
-        sp.gammaln(m) + sp.gammaln(m + 1.0 + 2.0 * delta.real)
-        - 2.0 * sp.loggamma(m + 1.0 + delta).real
-    )
-    return math.pi * math.exp(log_mass)
 
 
 def _gauge_sups(basis: PolynomialBasis, shifts) -> list[float]:
@@ -484,7 +448,7 @@ def _gauge_sups(basis: PolynomialBasis, shifts) -> list[float]:
 
 
 def _sampler_plan(basis: PolynomialBasis):
-    """(delta', k_sup, phi table) of the conditional sampler for ``basis``.
+    """(delta', k_sup) of the conditional sampler for ``basis``.
 
     Proposals come from the weight w_delta' with delta' one of
     {delta, min(Re delta, 0)}, and the acceptance carries the gauge factor
@@ -492,36 +456,15 @@ def _sampler_plan(basis: PolynomialBasis):
     K(z, z) near z = 1.  k_sup is the proven bound of :func:`_gauge_sups`
     on K(z, z) |(1-z)^c|^2.  Up to the f/h thinning rate, the expected
     number of proposals per point is proportional to k_sup times the
-    proposal weight's mass (:func:`_weight_mass`), and the candidate with
-    the smaller product wins: neither is best for every basis.
+    proposal weight's mass, and the candidate with the smaller product
+    wins: neither is best for every basis.
     """
     delta = basis.delta
     candidates = [delta, complex(min(delta.real, 0.0))]
     sups = _gauge_sups(basis, [delta - d for d in candidates])
     costs = [k * _weight_mass(basis.m, d) for k, d in zip(sups, candidates)]
     best = int(np.argmin(costs))
-    return candidates[best], sups[best], _phi_table(basis.m, candidates[best])
-
-
-def _propose_batch(table, m: int, delta: complex, rng: RngStream):
-    """Fixed-consumption proposal batch: (points, f/h thinning, accept uniforms).
-
-    In the polar coordinates z = 1 - s e^(i phi) of
-    :func:`hplab.weights.disc_weight_nodes`, w dA is proportional to
-    f(phi) t^(2a+m) (1-t)^(m-1) dphi dt with s = 2 cos(phi) t.  phi is drawn
-    from the envelope h of ``table`` and t ~ Beta(2a+m+1, m) as the product
-    of U_j^(1/(2a+m+1+j)) over j < m; accepting with probability f/h then
-    leaves a draw from w / int w.
-    """
-    log_h, cdf = table
-    gam, alpha = 2.0 * delta.real + 2.0 * m, 2.0 * delta.real + m + 1.0
-    draws = rng.random((3 + m, _PROPOSAL_BATCH))
-    k = np.searchsorted(cdf, draws[1], side="right")
-    phi = (k + draws[2]) * (math.pi / _PHI_BINS) - 0.5 * math.pi
-    thin = np.exp(_log_phi_density(phi, gam, delta.imag) - log_h[k])
-    t = np.prod(draws[3:] ** (1.0 / (alpha + np.arange(m)))[:, None], axis=0)
-    z = 1.0 - 2.0 * np.cos(phi) * t * np.exp(1j * phi)
-    return z, thin, draws[0]
+    return candidates[best], sups[best]
 
 
 def sample_projection_dpp(
@@ -536,8 +479,8 @@ def sample_projection_dpp(
     i-th point is drawn from the conditional density
     (K(z,z) - sum_l |psi_l(z)|^2) w_delta(z) given the previous points, by
     rejection from exact draws of the weight w_delta' that
-    :func:`_sampler_plan` chose (:func:`_propose_batch`).  A proposal is
-    kept with probability
+    :func:`_sampler_plan` chose, made by :mod:`hplab.weights`.  A proposal
+    is kept with probability
 
         (K(z,z) - sum_l |psi_l(z)|^2) |(1-z)^c|^2 / k_sup * f(phi) / h(phi),
 
@@ -555,7 +498,7 @@ def sample_projection_dpp(
     n = basis.n
     if basis.sampler_plan is None:
         object.__setattr__(basis, "sampler_plan", _sampler_plan(basis))
-    delta_p, k_sup, table = basis.sampler_plan
+    delta_p, k_sup = basis.sampler_plan
     c = basis.delta - delta_p
 
     points = np.empty(n, dtype=np.complex128)
@@ -565,13 +508,10 @@ def sample_projection_dpp(
     for i in range(n):
         while True:
             if pos == _PROPOSAL_BATCH:
-                z, thin, u = _propose_batch(table, basis.m, delta_p, rng)
+                z, thin, u = _propose_batch(basis.m, delta_p, _PROPOSAL_BATCH, rng)
                 inside = np.abs(z) < 1.0
-                one_minus = 1.0 - z[inside]
                 scale = np.zeros(_PROPOSAL_BATCH)
-                scale[inside] = thin[inside] / k_sup * (
-                    np.abs(one_minus) ** (2.0 * c.real) * np.exp(-2.0 * c.imag * np.angle(one_minus))
-                )
+                scale[inside] = thin[inside] / k_sup * _gauge_factor(z[inside], c)
                 vals = basis.evaluate(z)
                 kdiag = np.sum(np.abs(vals) ** 2, axis=0)
                 pos = 0
@@ -760,23 +700,19 @@ def gauge_identity_check(points, m: int, delta: complex) -> float:
     if len(set(z.tolist())) < z.size:
         return 0.0
 
-    one_minus = 1.0 - z
-    gauge = one_minus ** (-delta)
+    gauge = (1.0 - z) ** (-delta)
     left = (m / math.pi) * gauge
-    w_gauge = np.abs(one_minus) ** (2.0 * delta.real) * np.exp(
-        -2.0 * delta.imag * np.angle(one_minus)
-    )
     with decimal.localcontext(_GAUGE_CONTEXT):
         berg = _bergman_decimal(z, m + 1)
         lim = _cmul(_to_decimal([left.real[:, None], left.imag[:, None]]), berg)
         lim = _cmul(lim, _to_decimal([gauge.real, -gauge.imag]))
         det = _decimal_dets(np.stack([lim[0], berg[0]]), np.stack([lim[1], berg[1]]))
 
-        # w_hp = |1-z|^(2a) e^(-2b arg(1-z)) (1-|z|^2)^(m-1) and
+        # w_hp = |(1-z)^delta|^2 (1-|z|^2)^(m-1) and
         # w_bergman = (m/pi) (1-|z|^2)^(m-1); their common factor
         # (1-|z|^2)^(m-1) cancels in the relative gap and is left out
         w_lhs = Decimal(1)
-        for w in _to_decimal(w_gauge):
+        for w in _to_decimal(_gauge_factor(z, delta)):
             w_lhs *= w
         w_rhs = Decimal(m / math.pi) ** z.size
         lhs = (det[0][0] * w_lhs, det[1][0] * w_lhs)

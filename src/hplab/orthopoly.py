@@ -50,7 +50,7 @@ class PolynomialBasis:
     m: int
     delta: complex
     coeffs: np.ndarray = field(repr=False)
-    # (proposal delta', k_sup, phi table) of the DPP sampler, built on first
+    # (proposal delta', k_sup) of the DPP sampler, built on first
     # use by hplab.dpp._sampler_plan; subbasis starts without one.
     sampler_plan: tuple | None = field(default=None, init=False, repr=False)
 

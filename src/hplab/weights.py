@@ -6,8 +6,8 @@ reference weight
     w(z) = |1 - z|^(2a) * exp(-2 b arg(1 - z)) * (1 - |z|^2)^(m - 1),
 
 where a = Re delta and b = Im delta; the limiting process uses the Bergman
-weight (m/pi) (1 - |z|^2)^(m-1).  This module evaluates these weights and
-computes the moment matrix
+weight (m/pi) (1 - |z|^2)^(m-1).  This module alone knows w: it evaluates
+w, its gauge factor |(1-z)^c|^2 and mass, draws from w exactly, and computes
 
     c_{j,k} = int_D z^j conj(z)^k w(z) dA(z)
 
@@ -88,12 +88,26 @@ def weight_eval(spec: WeightSpec, z) -> np.ndarray:
     radial = (1.0 - np.abs(z) ** 2) ** (spec.m - 1)
     if spec.kind == "bergman":
         return (spec.m / math.pi) * radial
-    a, b = spec.delta.real, spec.delta.imag
+    return _gauge_factor(z, spec.delta, radial)
+
+
+def _gauge_factor(z, c: complex, scale=1.0) -> np.ndarray:
+    """|(1-z)^c|^2 = w_(delta+c) / w_delta, times ``scale`` before the angular
+    factor; that factor is skipped at Im c = 0, so every caller keeps its rounding."""
     one_minus = 1.0 - z
-    out = np.abs(one_minus) ** (2.0 * a) * radial
-    if b != 0.0:
-        out = out * np.exp(-2.0 * b * np.angle(one_minus))
+    out = np.abs(one_minus) ** (2.0 * c.real) * scale
+    if c.imag != 0.0:
+        out = out * np.exp(-2.0 * c.imag * np.angle(one_minus))
     return out
+
+
+def _weight_mass(m: int, delta: complex) -> float:
+    """int w dA = pi Gamma(m) Gamma(m+1+2a) / |Gamma(m+1+delta)|^2, a = Re delta."""
+    log_mass = (
+        sp.gammaln(m) + sp.gammaln(m + 1.0 + 2.0 * delta.real)
+        - 2.0 * sp.loggamma(m + 1.0 + delta).real
+    )
+    return math.pi * math.exp(log_mass)
 
 
 def radial_monomial_integral(p: int, m: int) -> float:
@@ -354,6 +368,56 @@ def disc_weight_nodes(m: int, delta: complex, radial_nodes: int = 64, angular_no
     if radial_nodes < 2 or angular_nodes < 2:
         raise ValueError("node counts must be at least 2")
     return _disc_nodes_cached(int(m), delta, int(radial_nodes), int(angular_nodes))
+
+
+_PHI_BINS = 64
+
+
+def _log_phi_density(phi, gam: float, b: float):
+    """log f(phi) for f(phi) = cos(phi)^gam exp(-2 b phi), the angular law of w dA."""
+    return gam * np.log(np.cos(phi)) - 2.0 * b * phi
+
+
+@lru_cache(maxsize=None)
+def _phi_table(m: int, delta: complex):
+    """Envelope h >= f over ``_PHI_BINS`` equal bins of (-pi/2, pi/2).
+
+    f is log-concave with its peak at phi* = -atan(2b / (2a + 2m)), so on a
+    bin it is largest at phi* if the bin holds it and at the larger end value
+    otherwise.  Returns (log h per bin, cumulative bin probabilities).
+    """
+    gam, b = 2.0 * delta.real + 2.0 * m, delta.imag
+    edges = np.linspace(-0.5 * math.pi, 0.5 * math.pi, _PHI_BINS + 1)
+    ends = _log_phi_density(edges, gam, b)
+    log_h = np.maximum(ends[:-1], ends[1:])
+    peak = -math.atan(2.0 * b / gam)
+    k = min(int((peak + 0.5 * math.pi) / (math.pi / _PHI_BINS)), _PHI_BINS - 1)
+    log_h[k] = _log_phi_density(peak, gam, b)
+    cdf = np.cumsum(np.exp(log_h - log_h[k]))
+    cdf /= cdf[-1]
+    for arr in (log_h, cdf):
+        arr.setflags(write=False)
+    return log_h, cdf
+
+
+def _propose_batch(m: int, delta: complex, size: int, rng):
+    """``size`` exact draws from w: (points, f/h thinning, accept uniforms).
+
+    In the coordinates of :func:`_disc_nodes_cached`, w dA is proportional
+    to f(phi) t^(2a+m) (1-t)^(m-1) dphi dt with s = 2 cos(phi) t.  phi is
+    drawn from the envelope h of :func:`_phi_table` and t ~ Beta(2a+m+1, m)
+    as the product of U_j^(1/(2a+m+1+j)) over j < m; a point kept with
+    probability f/h is a draw from w / int w.  It takes (3 + m) size uniforms.
+    """
+    log_h, cdf = _phi_table(m, delta)
+    gam, alpha = 2.0 * delta.real + 2.0 * m, 2.0 * delta.real + m + 1.0
+    draws = rng.random((3 + m, size))
+    k = np.searchsorted(cdf, draws[1], side="right")
+    phi = (k + draws[2]) * (math.pi / _PHI_BINS) - 0.5 * math.pi
+    thin = np.exp(_log_phi_density(phi, gam, delta.imag) - log_h[k])
+    t = np.prod(draws[3:] ** (1.0 / (alpha + np.arange(m)))[:, None], axis=0)
+    z = 1.0 - 2.0 * np.cos(phi) * t * np.exp(1j * phi)
+    return z, thin, draws[0]
 
 
 def moment_quadrature(

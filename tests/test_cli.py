@@ -85,10 +85,19 @@ def test_parse_config_error_codes(tmp_path):
         (_base_sample(tmp_path, samples=0), "bad-value"),
         (_base_sample(tmp_path, mh={"thinning": 0}), "bad-value"),
         (_base_sample(tmp_path, mh={"pace": 3}), "unknown-field"),
+        (_base_sample(tmp_path, mh=3), "bad-type"),
+        (_base_sample(tmp_path, delta=True), "bad-type"),
+        (_base_sample(tmp_path, output_dir=""), "bad-type"),
+        (_base_sample(tmp_path, command="verify-dpp", level=1.5), "bad-value"),
+        (_base_sample(tmp_path, command="verify-dpp", cells={"r_max": 1.0}), "bad-value"),
+        (_base_sample(tmp_path, command="verify-dpp", cells=[4, 6]), "bad-type"),
+        ({"command": "converge", "seed": 0, "m": 1, "delta": 0.0, "n_list": []}, "bad-value"),
+        ([_base_sample(tmp_path)], "bad-type"),
     ]
-    missing = _base_sample(tmp_path)
-    del missing["n"]
-    cases.append((missing, "missing-field"))
+    for key in ("n", "delta"):
+        missing = _base_sample(tmp_path)
+        del missing[key]
+        cases.append((missing, "missing-field"))
     for data, code in cases:
         with pytest.raises(ConfigError) as err:
             parse_config(data)
@@ -244,6 +253,22 @@ def test_run_converge_pass_and_fail(tmp_path):
     assert rows[0] == ["n", "sup_error", "grid_size", "m", "delta_re", "delta_im"]
     sups = [float(r[1]) for r in rows[1:]]
     assert sups == sorted(sups, reverse=True)
+
+    # at delta = 0 the rate is geometric, and from n = 40 on the run must
+    # also reach a relative distance of 1e-3
+    geometric = parse_config(
+        {
+            "command": "converge",
+            "seed": 0,
+            "m": 1,
+            "delta": 0.0,
+            "n_list": [10, 20, 40],
+            "output_dir": str(tmp_path / "geometric"),
+        }
+    )
+    code, manifest = run(geometric)
+    assert code == 0 and manifest["passed"] is True
+    assert manifest["rel_error_final"] <= 1e-3
 
     # delta != 0 converges at order n^-(m+1), not geometrically: at delta = 1
     # rel@40 is 7.5e-3, far above 1e-3, yet the observed order (1.90) meets

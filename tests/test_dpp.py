@@ -8,15 +8,13 @@ import pytest
 from hplab.cli import _gauge_tuple
 from hplab.dpp import (
     _GAUGE_CONTEXT,
+    _PROPOSAL_BATCH,
     CellPartition,
     _bergman_decimal,
     _cell_rules,
     _decimal_dets,
     _gauge_sups,
-    _phi_table,
-    _propose_batch,
     _sampler_plan,
-    _weight_mass,
     bonferroni_threshold,
     convergence_profile,
     default_convergence_grid,
@@ -37,7 +35,15 @@ from hplab.orthopoly import (
 from hplab.errors import NumericalError
 from hplab.rng import RngStream
 from hplab.stats import chi_square_gof
-from hplab.weights import WeightSpec, disc_weight_nodes, moment_series, weight_eval
+from hplab.weights import (
+    WeightSpec,
+    _gauge_factor,
+    _propose_batch,
+    _weight_mass,
+    disc_weight_nodes,
+    moment_series,
+    weight_eval,
+)
 
 
 def test_partition_validation():
@@ -182,8 +188,8 @@ def test_dpp_sampler_plan_lives_on_basis():
     assert basis.sampler_plan is plan
     assert basis.subbasis(2).sampler_plan is None
     # a kernel bound far too small is reported, not repaired
-    delta_p, k_sup, table = plan
-    object.__setattr__(basis, "sampler_plan", (delta_p, 1e-3 * k_sup, table))
+    delta_p, k_sup = plan
+    object.__setattr__(basis, "sampler_plan", (delta_p, 1e-3 * k_sup))
     with pytest.raises(NumericalError, match="kernel bound"):
         sample_projection_dpp(basis, RngStream(2))
 
@@ -212,22 +218,15 @@ def test_dpp_proposals_follow_the_reference_weight(m, delta):
     _, u = _cell_rules(part, weight, 24)
     cells = np.sum(u, axis=1)
     masses = np.append(cells, moment_series(0, 0, m, delta).real - cells.sum())
-    table = _phi_table(m, complex(delta))
     rng = RngStream(41)
     kept = []
     for _ in range(500):
-        z, thin, accept = _propose_batch(table, m, complex(delta), rng)
+        z, thin, accept = _propose_batch(m, complex(delta), _PROPOSAL_BATCH, rng)
         kept.append(z[accept < thin])
     idx = part.cell_of(np.concatenate(kept))
     counts = np.bincount(np.where(idx < 0, part.n_cells, idx), minlength=part.n_cells + 1)
     _, p = chi_square_gof(counts, masses)
     assert p > 1e-4, (m, delta, p)
-
-
-def _gauge(z, c):
-    """|(1-z)^c|^2 on the principal branch."""
-    one_minus = 1.0 - z
-    return np.abs(one_minus) ** (2.0 * c.real) * np.exp(-2.0 * c.imag * np.angle(one_minus))
 
 
 def test_dpp_kernel_bound_holds_on_a_finer_circle():
@@ -252,10 +251,10 @@ def test_dpp_kernel_bound_holds_on_a_finer_circle():
             for row, n in zip(kdiag, sizes):
                 basis = full.subbasis(n)
                 sups = _gauge_sups(basis, [delta - d for d in candidates])
-                delta_p, k_sup, _ = _sampler_plan(basis)
+                delta_p, k_sup = _sampler_plan(basis)
                 assert k_sup == sups[candidates.index(delta_p)], (n, m, delta)
                 for d, sup in zip(candidates, sups):
-                    assert sup >= np.max(row * _gauge(z, delta - d)), (n, m, delta, d)
+                    assert sup >= np.max(row * _gauge_factor(z, delta - d)), (n, m, delta, d)
 
 
 @pytest.mark.parametrize("m", (1, 3))
@@ -267,20 +266,20 @@ def test_weight_mass_matches_the_moment_series(m, delta):
 
 def _stepwise_dpp(basis, rng):
     """Reference sampler: one proposal at a time from one stream per configuration."""
-    delta_p, k_sup, table = basis.sampler_plan
+    delta_p, k_sup = basis.sampler_plan
     c = basis.delta - delta_p
     feats = np.zeros((0, basis.n), dtype=np.complex128)
     points, examined, batch = [], 0, []
     while len(points) < basis.n:
         if not batch:
-            batch = list(zip(*_propose_batch(table, basis.m, delta_p, rng)))
+            batch = list(zip(*_propose_batch(basis.m, delta_p, _PROPOSAL_BATCH, rng)))
         z, thin, u = batch.pop(0)
         examined += 1
         if abs(z) >= 1.0:
             continue
         vals = basis.evaluate(z)
         ratio = max(np.sum(np.abs(vals) ** 2) - np.sum(np.abs(feats @ vals) ** 2), 0.0)
-        ratio *= _gauge(z, c) * thin / k_sup
+        ratio *= _gauge_factor(z, c) * thin / k_sup
         if u < ratio:
             points.append(z)
             direction = np.conj(vals) - feats.T @ (feats.conj() @ np.conj(vals))

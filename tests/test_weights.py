@@ -9,6 +9,7 @@ from hplab.orthopoly import orthonormal_basis
 from hplab.weights import (
     GRAM_MAX_N,
     WeightSpec,
+    _gauge_factor,
     disc_weight_nodes,
     gram_matrix,
     moment_quadrature,
@@ -18,6 +19,8 @@ from hplab.weights import (
 )
 
 DELTAS = (0.0, 1.0, complex(1.0, 2.0), complex(-0.3, 0.0), complex(-0.3, 0.7))
+# the delta set plus the extremes that the DPP's gauge bound meets, as in test_dpp
+BOUND_DELTAS = DELTAS + (2j, complex(-0.45, 2.0), 3.0)
 
 
 def test_weight_spec_validation():
@@ -48,6 +51,28 @@ def test_weight_eval_formulas():
     # delta = 0 reduces to the radial factor alone
     flat = weight_eval(WeightSpec("hp", 1, 0.0), z)
     assert np.allclose(flat, 1.0)
+
+
+def test_gauge_factor_is_the_weight_ratio_and_the_circle_closed_form():
+    rng = np.random.default_rng(3)
+    z = 0.99 * np.sqrt(rng.random(500)) * np.exp(2j * np.pi * rng.random(500))
+    assert np.all(_gauge_factor(z, 0j) == 1.0)
+    for m in (1, 3):
+        for delta in BOUND_DELTAS:
+            delta = complex(delta)
+            radial = (1.0 - np.abs(z) ** 2) ** (m - 1)
+            np.testing.assert_allclose(
+                weight_eval(WeightSpec("hp", m, delta), z),
+                _gauge_factor(z, delta) * radial, rtol=1e-14, atol=0)
+    # on z = e^(i theta), the form whose log-concavity the DPP's kernel bound
+    # (hplab.dpp._gauge_sups) uses; a sign slip in either copy fails here
+    theta = 2.0 * np.pi * (np.arange(4096) + 0.5) / 4096
+    for delta in BOUND_DELTAS:
+        delta = complex(delta)
+        for c in (delta, delta - min(delta.real, 0.0)):
+            circle = (2.0 * np.sin(0.5 * theta)) ** (2.0 * c.real) * np.exp(-c.imag * (theta - np.pi))
+            np.testing.assert_allclose(_gauge_factor(np.exp(1j * theta), c), circle,
+                                       rtol=1e-12, atol=0, err_msg=str(c))
 
 
 def test_weight_eval_rejects_boundary():
