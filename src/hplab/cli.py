@@ -351,7 +351,7 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
             pts = _gauge_tuple(rng.substream(i), cfg.max_points)
             rels.append(gauge_identity_check(pts, cfg.m, cfg.delta))
         timings["gauge"] = time.perf_counter() - t
-        max_rel = max(rels)
+        max_rel = float(np.max(rels))
         passed = max_rel <= 1e-10
         extra["max_rel_error"] = max_rel
         extra["tolerance"] = 1e-10

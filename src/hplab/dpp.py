@@ -12,18 +12,15 @@ description of the eigenvalue process:
   moments computed from a kernel by quadrature.
 * :func:`convergence_profile` measures the distance from the finite-n kernel
   to its scaling limit on a fixed grid.
-* :func:`gauge_identity_check` verifies in 34-digit ``decimal`` arithmetic
-  that the limit kernel and the weighted Bergman kernel give identical
-  determinantal correlations (they differ by a conjugation that cancels
-  against the reference weights).
+* :func:`gauge_identity_check` verifies, entry by entry in float64, that the
+  weighted limit kernel is a unimodular diagonal conjugation of the weighted
+  Bergman kernel, so both give identical determinantal correlations.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal
 
 import numpy as np
 from scipy import special as sp
@@ -33,6 +30,8 @@ from .rng import RngStream
 from .orthopoly import (
     KernelSpec,
     PolynomialBasis,
+    _kernel_diag,
+    bergman_kernel,
     finite_kernel,
     kernel_eval,
     limiting_kernel,
@@ -214,18 +213,6 @@ def expected_cell_counts(
     """Exact expected occupation number ``int_cell K(z, z) w(z) dA`` per cell."""
     z, u = _cell_rules(partition, reference_weight(kernel), nodes)
     return np.sum(u * _kernel_diag(kernel, z), axis=1)
-
-
-def _kernel_diag(kernel: KernelSpec, z: np.ndarray) -> np.ndarray:
-    """K(z, z) elementwise (real for Hermitian kernels)."""
-    if kernel.kind == "finite":
-        v = kernel.basis.evaluate(z)
-        return np.sum(np.abs(v) ** 2, axis=0)
-    zz = np.asarray(z, dtype=np.complex128)
-    core = np.abs(1.0 - np.abs(zz) ** 2) ** (-(kernel.m + 1.0))
-    if kernel.kind == "bergman":
-        return core
-    return (kernel.m / math.pi) * _gauge_factor(zz, -kernel.delta) * core
 
 
 # ---------------------------------------------------------------------------
@@ -601,95 +588,22 @@ def convergence_profile(
 # gauge invariance of determinantal correlations
 
 
-# Working precision of the gauge check: 34 significant digits, as IEEE
-# decimal128.  The Bergman matrices of CLI gauge tuples reach equilibrated
-# condition numbers of 2e12, which leave 80-bit long doubles (about 19
-# digits) errors up to 1e-8.
-_GAUGE_CONTEXT = decimal.Context(prec=34)
-
-
-def _to_decimal(x) -> np.ndarray:
-    """Object array of the exact ``Decimal`` values of a float array."""
-    x = np.asarray(x, dtype=float)
-    return np.array([Decimal(v) for v in x.ravel().tolist()], dtype=object).reshape(x.shape)
-
-
-def _cmul(a, b):
-    """Elementwise product of complex arrays held as (real, imaginary) pairs."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _bergman_decimal(z: np.ndarray, power: int):
-    """(1 - z_i conj(z_j))^(-power) as ``Decimal`` (real, imaginary) arrays.
-
-    1 - z_i conj(z_j) is formed from the exact values of the float parts and
-    rounded once per operation in the current decimal context.
-    """
-    x, y = _to_decimal(z.real), _to_decimal(z.imag)
-    g = (1 - (x[:, None] * x + y[:, None] * y), x[:, None] * y - y[:, None] * x)
-    g_norm = g[0] ** 2 + g[1] ** 2
-    inv_g = (g[0] / g_norm, -g[1] / g_norm)
-    out = inv_g
-    for _ in range(power - 1):
-        out = _cmul(out, inv_g)
-    return out
-
-
-def _decimal_dets(re: np.ndarray, im: np.ndarray):
-    """Determinants of a stack ``(s, p, p)`` of complex ``Decimal`` matrices.
-
-    The matrices are given by object arrays of their real and imaginary
-    parts.  LU with partial pivoting, each matrix pivoting on its own, in the
-    current decimal context; returns the (real, imaginary) parts, shape (s,).
-    A matrix whose pivot column vanishes exactly gets determinant 0.
-    """
-    re, im = re.copy(), im.copy()
-    s, p = re.shape[:2]
-    stack = np.arange(s)
-    det = (np.full(s, Decimal(1), dtype=object), np.full(s, Decimal(0), dtype=object))
-    for k in range(p):
-        piv = k + np.argmax(re[:, k:, k] ** 2 + im[:, k:, k] ** 2, axis=1)
-        for a in (re, im):
-            a[stack, k], a[stack, piv] = a[stack, piv], a[stack, k]
-        pivot = (re[:, k, k], im[:, k, k])
-        det = _cmul(det, pivot)
-        flip = piv != k
-        det[0][flip], det[1][flip] = -det[0][flip], -det[1][flip]
-        norm = pivot[0] ** 2 + pivot[1] ** 2
-        norm[norm == 0] = Decimal(1)
-        inv = (pivot[0] / norm, -pivot[1] / norm)
-        f = _cmul((re[:, k + 1:, k], im[:, k + 1:, k]), (inv[0][:, None], inv[1][:, None]))
-        upd = _cmul(
-            (f[0][:, :, None], f[1][:, :, None]), (re[:, None, k, k + 1:], im[:, None, k, k + 1:])
-        )
-        re[:, k + 1:, k + 1:] -= upd[0]
-        im[:, k + 1:, k + 1:] -= upd[1]
-    return det
-
-
 def gauge_identity_check(points, m: int, delta: complex) -> float:
-    """Relative gap between the two kernel descriptions of the limit process.
+    """Gap between the two kernel descriptions of the limit process.
 
-    For points z_1..z_p in the open disc, computes both
+    For points z_1..z_p in the open disc, forms the weighted kernel matrices
 
-        det[K_lim(z_i, z_j)] * prod_i w_hp(z_i)      and
-        det[K_bergman(z_i, z_j)] * prod_i w_bergman(z_i)
+        A = W_hp K_lim W_hp   and   B = W_b K_bergman W_b,
 
-    and returns |lhs - rhs| / max(|lhs|, |rhs|).  The two kernels differ by
-    the conjugation D K D^(-1) with D = diag((1-z_i)^(-delta)), which leaves
-    determinants of this product form invariant, so the exact answer is 0.
-    Tuples with repeated points make both sides vanish; they return 0 by
-    convention.
-
-    The Bergman entries (1 - z_i conj(z_j))^-(m+1), the scaling of their rows
-    and columns into K_lim, both determinants and the final difference are
-    computed in 34-digit ``decimal`` arithmetic, into which every float
-    converts exactly.  The gauge factors (1-z_i)^(-delta) and the weights
-    stay in float64: they enter only as diagonal scalings, so their rounding
-    moves each side by about p ulps and is not multiplied by the matrices'
-    condition number.  That is also why the gauge factors are multiplied
-    into the rows and then the columns in ``decimal``: a float64 outer
-    product would round every entry on its own.
+    with W = diag(sqrt(w(z_i))) for each kernel's reference weight, from
+    :func:`kernel_eval` and :func:`weight_eval`.  The limit kernel is the
+    Bergman kernel conjugated by D = diag((1-z_i)^(-delta)), and the weight
+    ratio |(1-z)^delta|^2 cancels |D|, so A = Phi B Phi^H with Phi diagonal
+    and unimodular.  Then every principal minor, hence every correlation
+    function, agrees.  With R = A / B entrywise and phi = R[:, 0], returns
+    the largest of |R - phi phi^H| and |diag R - 1|; the exact answer is 0.
+    Each entry of R is a ratio of float64 values, so no condition number
+    enters, and a NaN anywhere is returned as NaN.
     """
     delta = check_params(m, delta)
     z = np.asarray(points, dtype=np.complex128).ravel()
@@ -697,28 +611,12 @@ def gauge_identity_check(points, m: int, delta: complex) -> float:
         raise ValueError("need at least one point")
     if np.any(np.abs(z) >= 1.0):
         raise ValueError("points must lie in the open unit disc")
-    if len(set(z.tolist())) < z.size:
-        return 0.0
 
-    gauge = (1.0 - z) ** (-delta)
-    left = (m / math.pi) * gauge
-    with decimal.localcontext(_GAUGE_CONTEXT):
-        berg = _bergman_decimal(z, m + 1)
-        lim = _cmul(_to_decimal([left.real[:, None], left.imag[:, None]]), berg)
-        lim = _cmul(lim, _to_decimal([gauge.real, -gauge.imag]))
-        det = _decimal_dets(np.stack([lim[0], berg[0]]), np.stack([lim[1], berg[1]]))
-
-        # w_hp = |(1-z)^delta|^2 (1-|z|^2)^(m-1) and
-        # w_bergman = (m/pi) (1-|z|^2)^(m-1); their common factor
-        # (1-|z|^2)^(m-1) cancels in the relative gap and is left out
-        w_lhs = Decimal(1)
-        for w in _to_decimal(_gauge_factor(z, delta)):
-            w_lhs *= w
-        w_rhs = Decimal(m / math.pi) ** z.size
-        lhs = (det[0][0] * w_lhs, det[1][0] * w_lhs)
-        rhs = (det[0][1] * w_rhs, det[1][1] * w_rhs)
-        gap = (lhs[0] - rhs[0]) ** 2 + (lhs[1] - rhs[1]) ** 2
-        denom = max(lhs[0] ** 2 + lhs[1] ** 2, rhs[0] ** 2 + rhs[1] ** 2)
-        if denom == 0:
-            return 0.0
-        return float((gap / denom).sqrt())
+    weighted = []
+    for kernel in (limiting_kernel(m, delta), bergman_kernel(m)):
+        root = np.sqrt(weight_eval(reference_weight(kernel), z))
+        weighted.append(root[:, None] * kernel_eval(kernel, z, z) * root)
+    r = weighted[0] / weighted[1]
+    phi = r[:, 0]
+    off = np.abs(r - np.outer(phi, phi.conj()))
+    return float(np.max(np.concatenate([off.ravel(), np.abs(np.diag(r) - 1.0)])))

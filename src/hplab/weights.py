@@ -114,8 +114,7 @@ def radial_monomial_integral(p: int, m: int) -> float:
     """``int_D |z|^(2p) (1-|z|^2)^(m-1) dA = pi * p! (m-1)! / (p+m)!``."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_params(m, 0)
     return math.pi * math.exp(math.lgamma(p + 1) + math.lgamma(m) - math.lgamma(p + m + 1))
 
 

@@ -172,8 +172,10 @@ def _gauge_tuples(seed, count, max_points):
 
 def test_criterion_4_gauge_identity():
     # 100 random tuples of up to 12 points per (m, delta), m <= 3 and the
-    # delta test set: both kernel descriptions give identical correlation
-    # determinants to 1e-10 relative, inside 10 seconds
+    # delta test set: on each tuple the weighted limit kernel matrix is a
+    # unimodular diagonal conjugation of the weighted Bergman one, entry by
+    # entry to 1e-10, so both give identical correlation functions; inside
+    # 10 seconds
     jobs = [
         (m, delta, 4000 + 100 * m + i)
         for m in (1, 2, 3)

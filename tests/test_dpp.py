@@ -1,18 +1,16 @@
-import decimal
 import json
 import math
 
 import numpy as np
 import pytest
 
+import hplab.dpp as dpp_module
+import hplab.weights as weights_module
 from hplab.cli import _gauge_tuple
 from hplab.dpp import (
-    _GAUGE_CONTEXT,
     _PROPOSAL_BATCH,
     CellPartition,
-    _bergman_decimal,
     _cell_rules,
-    _decimal_dets,
     _gauge_sups,
     _sampler_plan,
     bonferroni_threshold,
@@ -410,29 +408,18 @@ def test_gauge_identity_random_tuples():
 
 
 # A CLI gauge tuple of 12 points whose Cauchy matrix [1 / (1 - z_i conj(z_j))]
-# has condition number 3.6e13: float64 LU reaches 5.9e-4 on its determinant,
-# an 80-bit long double LU 1.5e-7.
+# has condition number 3.6e13: float64 LU reaches 5.9e-4 on its determinant.
 _HARD_TUPLE = _gauge_tuple(RngStream(14710).substream(12), 12)
 
 
-def test_decimal_det_of_cauchy_matrix_matches_closed_form():
-    z = _HARD_TUPLE
-    with decimal.localcontext(_GAUGE_CONTEXT):
-        re, im = _bergman_decimal(z, 1)
-        det_re, det_im = _decimal_dets(re[None], im[None])
-    det = complex(float(det_re[0]), float(det_im[0]))
-    i, j = np.triu_indices(z.size, 1)
-    closed = np.prod(np.abs(z[i] - z[j]) ** 2) / np.prod(1.0 - np.outer(z, z.conj())).real
-    assert abs(det / closed - 1.0) <= 1e-11
-
-
 def test_gauge_identity_on_an_ill_conditioned_tuple():
-    # an 80-bit long double LU reaches 8.6e-9 here
+    # the check compares entries and forms no determinant, so that condition
+    # number never enters; it reads 5.6e-16 here
     assert gauge_identity_check(_HARD_TUPLE, 1, 0.0) <= 1e-13
 
 
 def test_gauge_identity_degenerate_and_validation():
-    assert gauge_identity_check([0.1 + 0.1j, 0.1 + 0.1j], 1, 1.0) == 0.0
+    assert gauge_identity_check([0.1 + 0.1j, 0.1 + 0.1j], 1, 1.0) <= 1e-13
     with pytest.raises(ValueError):
         gauge_identity_check([], 1, 0.0)
     with pytest.raises(ValueError):
@@ -441,6 +428,47 @@ def test_gauge_identity_degenerate_and_validation():
         gauge_identity_check([0.1], 0, 0.0)
     with pytest.raises(ValueError):
         gauge_identity_check([0.1], 1, -0.9)
+
+
+def _limit_kernel_recipe(conj_delta: bool, with_scale: bool):
+    """kernel_eval with the limit kernel rebuilt from the Bergman kernel."""
+
+    def evaluate(spec, z, w):
+        if spec.kind != "limit_hp":
+            return kernel_eval(spec, z, w)
+        d = spec.delta
+        right = (1.0 - np.conj(w)) ** (-(np.conj(d) if conj_delta else d))
+        scale = spec.m / np.pi if with_scale else 1.0
+        core = kernel_eval(bergman_kernel(spec.m), z, w)
+        return scale * np.outer((1.0 - z) ** (-d), right) * core
+
+    return evaluate
+
+
+def _worst_gauge_gap() -> float:
+    gaps = [
+        gauge_identity_check(_gauge_tuple(RngStream(19000 + 10 * m).substream(i), 12), m, delta)
+        for m in (1, 2)
+        for delta in (1.0, 1 + 2j, -0.3 + 0.7j)
+        for i in range(20)
+    ]
+    return float(np.max(gaps))
+
+
+def test_gauge_identity_check_catches_kernel_and_weight_mutants(monkeypatch):
+    monkeypatch.setattr(dpp_module, "kernel_eval", _limit_kernel_recipe(True, True))
+    assert _worst_gauge_gap() <= 1e-13
+    for recipe in (_limit_kernel_recipe(False, True), _limit_kernel_recipe(True, False)):
+        monkeypatch.setattr(dpp_module, "kernel_eval", recipe)
+        assert _worst_gauge_gap() > 1e-6
+    monkeypatch.undo()
+
+    # the angular factor of the weight with its sign flipped: exp(+2 Im c arg(1-z))
+    gauge = weights_module._gauge_factor
+    monkeypatch.setattr(
+        weights_module, "_gauge_factor", lambda z, c, scale=1.0: gauge(z, c.conjugate(), scale)
+    )
+    assert _worst_gauge_gap() > 1e-6
 
 
 def test_limit_kernel_cell_counts_positive():

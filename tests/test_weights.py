@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hplab.errors import NumericalError
+from hplab.errors import ConfigError, NumericalError
 from hplab.orthopoly import orthonormal_basis
 from hplab.weights import (
     GRAM_MAX_N,
@@ -88,6 +88,10 @@ def test_radial_monomial_integral_exact():
             exact = Fraction(math.factorial(p) * math.factorial(m - 1), math.factorial(p + m))
             got = radial_monomial_integral(p, m) / math.pi
             assert abs(got - float(exact)) < 1e-15 * max(1.0, float(exact))
+    with pytest.raises(ConfigError, match="m must be >= 1"):
+        radial_monomial_integral(0, 0)
+    with pytest.raises(ValueError, match="p must be nonnegative"):
+        radial_monomial_integral(-1, 1)
 
 
 def test_moment_hand_values():
