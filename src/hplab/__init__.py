@@ -52,7 +52,6 @@ from .dpp import (
     bonferroni_threshold,
     convergence_profile,
     equal_mass_partition,
-    expected_cell_counts,
     gauge_identity_check,
     sample_projection_dpp,
     verify_intensities,
@@ -99,7 +98,6 @@ __all__ = [
     "bonferroni_threshold",
     "convergence_profile",
     "equal_mass_partition",
-    "expected_cell_counts",
     "gauge_identity_check",
     "sample_projection_dpp",
     "verify_intensities",

@@ -9,7 +9,8 @@ description of the eigenvalue process:
   are exact draws of a gauge-shifted disc weight under a proven bound.
 * :func:`verify_intensities` compares empirical cell counts (and pair
   counts) of any ensemble against the exact first and second factorial
-  moments computed from a kernel by quadrature.
+  moments of a finite kernel, both read from one per-cell moment tensor
+  M_A = int_A f f^H w dA built from a single quadrature rule.
 * :func:`convergence_profile` measures the distance from the finite-n kernel
   to its scaling limit on a fixed grid.
 * :func:`gauge_identity_check` verifies, entry by entry in float64, that the
@@ -30,11 +31,11 @@ from .rng import RngStream
 from .orthopoly import (
     KernelSpec,
     PolynomialBasis,
-    _kernel_diag,
     bergman_kernel,
     finite_kernel,
     kernel_eval,
     limiting_kernel,
+    orthonormal_basis,
     reference_weight,
 )
 from .weights import WeightSpec, _gauge_factor, _propose_batch, _weight_mass, weight_eval
@@ -44,7 +45,6 @@ __all__ = [
     "CorrelationReport",
     "ConvergenceRow",
     "equal_mass_partition",
-    "expected_cell_counts",
     "verify_intensities",
     "sample_projection_dpp",
     "convergence_profile",
@@ -188,12 +188,12 @@ def equal_mass_partition(
 # exact moments by quadrature
 
 
-def _cell_rules(partition: CellPartition, weight: WeightSpec, nodes: int):
-    """Per-cell tensor Gauss-Legendre rules against the reference weight.
+def _cell_rules(partition: CellPartition, weight: WeightSpec):
+    """Per-cell 24 x 24 tensor Gauss-Legendre rules against the reference weight.
 
-    Returns points and weights, both of shape ``(n_cells, nodes**2)``.
+    Returns points and weights, both of shape ``(n_cells, 576)``.
     """
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = np.polynomial.legendre.leggauss(24)
     ring = np.repeat(np.arange(partition.rings), partition.sectors)
     r_lo, r_hi = partition.r_edges[ring, None], partition.r_edges[ring + 1, None]
     t_lo = partition.theta_edges[:, :-1].reshape(-1, 1)
@@ -207,12 +207,15 @@ def _cell_rules(partition: CellPartition, weight: WeightSpec, nodes: int):
     return z, u * weight_eval(weight, z)
 
 
-def expected_cell_counts(
-    kernel: KernelSpec, partition: CellPartition, nodes: int = 24
-) -> np.ndarray:
-    """Exact expected occupation number ``int_cell K(z, z) w(z) dA`` per cell."""
-    z, u = _cell_rules(partition, reference_weight(kernel), nodes)
-    return np.sum(u * _kernel_diag(kernel, z), axis=1)
+def _cell_moments(basis: PolynomialBasis, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Moment matrices M_A = int_A f f^H w dA, shape ``(regions, n, n)``.
+
+    ``(z, u)`` is a quadrature rule per region, both of shape
+    ``(regions, points)``, with the weight folded into ``u``; f is the
+    vector of basis polynomials.  Then E[N_A] = tr M_A.
+    """
+    f = basis.evaluate(z).transpose(1, 0, 2)  # (regions, n, points)
+    return (f * u[:, None, :]) @ f.conj().transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +336,11 @@ def verify_intensities(
         E[N_A N_B] = int_A int_B (K(z,z) K(w,w) - |K(z,w)|^2) w(z) w(w) dA dA.
 
     For the finite kernel K(z, w) = f(z)^T conj(f(w)) of a polynomial basis f,
-    the |K|^2 term equals sum_kl M_A[k, l] conj(M_B[k, l]) with the per-cell
-    moment M_A = int_A f f^H w dA, so one product gives every pair.  Each
+    both moments come from the per-cell moment M_A = int_A f f^H w dA of
+    :func:`_cell_moments`, on the one rule of :func:`_cell_rules`: the cell
+    mean is mu_A = tr M_A, and the |K|^2 term is
+    R_AB = Re sum_kl M_A[k, l] conj(M_B[k, l]), so one product gives every
+    pair, E[N_A N_B] = mu_A mu_B - R_AB.  Each
     comparison yields a z-score; all must stay below the two-sided
     Bonferroni threshold at significance ``level`` for ``passed`` to be true.
     """
@@ -346,20 +352,17 @@ def verify_intensities(
         raise ValueError("need at least two configurations")
     counts = partition.counts(configs).astype(float)
 
-    mu = expected_cell_counts(kernel, partition)
+    moments = _cell_moments(kernel.basis, *_cell_rules(partition, reference_weight(kernel)))
+    mu = np.real(np.trace(moments, axis1=1, axis2=2))
     cell_mean = counts.mean(axis=0)
     cell_se = counts.std(axis=0, ddof=1) / math.sqrt(s)
     cell_z = _safe_z(cell_mean, mu, cell_se, s)
 
     if include_pairs:
-        z, u = _cell_rules(partition, reference_weight(kernel), 12)
-        f = kernel.basis.evaluate(z).transpose(1, 0, 2)  # (cells, n, points)
-        moments = (f * u[:, None, :]) @ f.conj().transpose(0, 2, 1)  # (cells, n, n)
-        pmu = np.real(np.trace(moments, axis1=1, axis2=2))
-        moments = moments.reshape(partition.n_cells, -1)
+        flat = moments.reshape(partition.n_cells, -1)
         a, b = np.triu_indices(partition.n_cells, 1)
-        correction = np.real(moments @ moments.conj().T)[a, b]
-        pair_expected = pmu[a] * pmu[b] - correction
+        correction = np.real(flat @ flat.conj().T)[a, b]
+        pair_expected = mu[a] * mu[b] - correction
         sums = (counts.T @ counts)[a, b]
         squares = (counts.T**2 @ counts**2)[a, b]
         pair_mean = sums / s
@@ -563,8 +566,6 @@ def convergence_profile(
     All finite kernels reuse one orthonormal basis at max(n_list), so a
     profile over many n costs a single Gram factorization.
     """
-    from .orthopoly import orthonormal_basis
-
     ns = sorted(set(int(n) for n in n_list))
     if not ns or ns[0] < 1:
         raise ValueError("n_list must contain positive integers")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, check_params
-from .weights import WeightSpec, _gauge_factor, check_basis_size, gram_matrix
+from .weights import WeightSpec, check_basis_size, gram_matrix
 
 __all__ = [
     "PolynomialBasis",
@@ -213,18 +213,6 @@ def kernel_eval(spec: KernelSpec, z, w) -> np.ndarray:
         return core
     gauge = (1.0 - zz) ** (-spec.delta) * (1.0 - ww) ** (-np.conj(spec.delta))
     return (spec.m / math.pi) * gauge * core
-
-
-def _kernel_diag(kernel: KernelSpec, z: np.ndarray) -> np.ndarray:
-    """K(z, z) elementwise (real for Hermitian kernels)."""
-    if kernel.kind == "finite":
-        v = kernel.basis.evaluate(z)
-        return np.sum(np.abs(v) ** 2, axis=0)
-    zz = np.asarray(z, dtype=np.complex128)
-    core = np.abs(1.0 - np.abs(zz) ** 2) ** (-(kernel.m + 1.0))
-    if kernel.kind == "bergman":
-        return core
-    return (kernel.m / math.pi) * _gauge_factor(zz, -kernel.delta) * core
 
 
 def write_basis_csv(basis: PolynomialBasis, path) -> None:

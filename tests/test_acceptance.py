@@ -182,10 +182,13 @@ def test_criterion_4_gauge_identity():
         for i, delta in enumerate(DELTA_SET)
     ]
     t0 = time.perf_counter()
-    worst = 0.0
-    for m, delta, seed in jobs:
-        for pts in _gauge_tuples(seed, 100, 12):
-            worst = max(worst, gauge_identity_check(pts, m, delta))
+    gaps = [
+        gauge_identity_check(pts, m, delta)
+        for m, delta, seed in jobs
+        for pts in _gauge_tuples(seed, 100, 12)
+    ]
+    # np.max, not Python's max: a NaN gap must read as NaN and fail
+    worst = float(np.max(gaps))
     wall = time.perf_counter() - t0
     ok = worst <= 1e-10 and wall < 10.0
     line = _report(

@@ -10,6 +10,7 @@ from hplab.cli import _gauge_tuple
 from hplab.dpp import (
     _PROPOSAL_BATCH,
     CellPartition,
+    _cell_moments,
     _cell_rules,
     _gauge_sups,
     _sampler_plan,
@@ -17,7 +18,6 @@ from hplab.dpp import (
     convergence_profile,
     default_convergence_grid,
     equal_mass_partition,
-    expected_cell_counts,
     gauge_identity_check,
     sample_projection_dpp,
     verify_intensities,
@@ -82,7 +82,7 @@ def test_partition_counts():
 def test_equal_mass_partition_is_equal_mass():
     weight = WeightSpec("hp", 2, complex(1.0, 2.0))
     part = equal_mass_partition(weight, 3, 4, 0.9)
-    z, u = _cell_rules(part, weight, 24)
+    z, u = _cell_rules(part, weight)
     assert z.shape == u.shape == (12, 24 * 24)
     masses = u.sum(axis=1)
     assert masses.max() / masses.min() < 1.02
@@ -106,13 +106,14 @@ def test_trace_identity_full_disc():
         assert abs(np.sum(w * kdiag) - n) < 1e-6, (m, delta)
 
 
-def test_expected_cell_counts_consistent_with_global_rule():
-    # assembling the trace cell by cell agrees with one global polar rule
+def test_cell_moment_traces_consistent_with_global_rule():
+    # assembling the trace tr M_A cell by cell agrees with one global polar rule
     m, delta = 1, 1.0
+    weight = WeightSpec("hp", m, delta)
     basis = orthonormal_basis(3, m, delta)
-    kernel = finite_kernel(basis)
-    part = equal_mass_partition(WeightSpec("hp", m, delta), 3, 4, 0.85)
-    total = float(np.sum(expected_cell_counts(kernel, part, nodes=32)))
+    part = equal_mass_partition(weight, 3, 4, 0.85)
+    moments = _cell_moments(basis, *_cell_rules(part, weight))
+    total = float(np.sum(np.real(np.trace(moments, axis1=1, axis2=2))))
 
     xg, wg = np.polynomial.legendre.leggauss(200)
     r = 0.5 * 0.85 * (xg + 1.0)
@@ -120,7 +121,7 @@ def test_expected_cell_counts_consistent_with_global_rule():
     t = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
     z = (r[:, None] * np.exp(1j * t)[None, :]).ravel()
     u = np.repeat(ur, t.size) * (2 * np.pi / t.size)
-    wvals = weight_eval(WeightSpec("hp", m, delta), z)
+    wvals = weight_eval(weight, z)
     kd = np.sum(np.abs(basis.evaluate(z)) ** 2, axis=0)
     ref = float(np.sum(u * wvals * kd))
     assert abs(total - ref) < 1e-6
@@ -149,16 +150,16 @@ def test_second_moment_inequality():
 
 def test_pair_expected_matches_double_quadrature():
     # E[N_A N_B] = mu_A mu_B - int_A int_B |K(z,w)|^2 w(z) w(w) dA dA, pair by
-    # pair from kernel values on the same 12-node cell rules
+    # pair from kernel values on the cell rules; mu is the report's own cell
+    # mean, so the cell and pair terms must come from the one rule
     for n, m, delta in ((3, 2, complex(1.0, 2.0)), (2, 1, complex(-0.3, 0.7))):
         weight = WeightSpec("hp", m, delta)
         kernel = finite_kernel(orthonormal_basis(n, m, delta))
         part = equal_mass_partition(weight, 4, 6, 0.95)
         pts = 0.9 * np.exp(2j * np.pi * np.arange(2 * n) / (2 * n)).reshape(2, n)
         report = verify_intensities(pts, kernel, part)
-        z, u = _cell_rules(part, weight, 12)
-        mu = [float(np.sum(u[c] * np.real(np.diag(kernel_eval(kernel, z[c], z[c])))))
-              for c in range(part.n_cells)]
+        z, u = _cell_rules(part, weight)
+        mu = report.cell_expected
         ref = []
         for a, b in report.pair_index:
             cross = kernel_eval(kernel, z[a], z[b])
@@ -213,7 +214,7 @@ def test_dpp_proposals_follow_the_reference_weight(m, delta):
     # (level 1e-4 per case, 1e-3 over the ten)
     weight = WeightSpec("hp", m, delta)
     part = equal_mass_partition(weight, 4, 6, 0.95)
-    _, u = _cell_rules(part, weight, 24)
+    _, u = _cell_rules(part, weight)
     cells = np.sum(u, axis=1)
     masses = np.append(cells, moment_series(0, 0, m, delta).real - cells.sum())
     rng = RngStream(41)
@@ -469,12 +470,3 @@ def test_gauge_identity_check_catches_kernel_and_weight_mutants(monkeypatch):
         weights_module, "_gauge_factor", lambda z, c, scale=1.0: gauge(z, c.conjugate(), scale)
     )
     assert _worst_gauge_gap() > 1e-6
-
-
-def test_limit_kernel_cell_counts_positive():
-    kernel = limiting_kernel(2, complex(-0.3, 0.7))
-    part = equal_mass_partition(WeightSpec("hp", 2, complex(-0.3, 0.7)), 2, 3, 0.8)
-    mu = expected_cell_counts(kernel, part)
-    assert np.all(mu > 0)
-    bko = expected_cell_counts(bergman_kernel(2), part)
-    assert np.all(bko > 0)
