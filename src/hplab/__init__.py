@@ -17,7 +17,6 @@ from .sampling import (
     MHConfig,
     hp_log_weight,
     hp_log_weights,
-    sample_ginibre,
     sample_haar_unitaries,
     sample_haar_unitary,
     sample_hua_pickrell_mh,
@@ -56,7 +55,6 @@ from .dpp import (
     sample_projection_dpp,
     verify_intensities,
 )
-from .stats import chi_square_gof, two_sample_chi_square
 
 __all__ = [
     "__version__",
@@ -67,7 +65,6 @@ __all__ = [
     "MHConfig",
     "hp_log_weight",
     "hp_log_weights",
-    "sample_ginibre",
     "sample_haar_unitaries",
     "sample_haar_unitary",
     "sample_hua_pickrell_mh",
@@ -101,6 +98,4 @@ __all__ = [
     "gauge_identity_check",
     "sample_projection_dpp",
     "verify_intensities",
-    "chi_square_gof",
-    "two_sample_chi_square",
 ]

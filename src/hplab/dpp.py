@@ -447,13 +447,19 @@ def _sampler_plan(basis: PolynomialBasis):
     on K(z, z) |(1-z)^c|^2.  Up to the f/h thinning rate, the expected
     number of proposals per point is proportional to k_sup times the
     proposal weight's mass, and the candidate with the smaller product
-    wins: neither is best for every basis.
+    wins: neither is best for every basis.  A k_sup that is not finite and
+    positive, as from a NaN, infinite or all-zero coefficient matrix, would
+    reject every proposal forever, so it raises :class:`NumericalError`.
     """
     delta = basis.delta
     candidates = [delta, complex(min(delta.real, 0.0))]
-    sups = _gauge_sups(basis, [delta - d for d in candidates])
+    # a NaN, infinite or zero basis meets inf * 0 here; the check below refuses it
+    with np.errstate(invalid="ignore", over="ignore"):
+        sups = _gauge_sups(basis, [delta - d for d in candidates])
     costs = [k * _weight_mass(basis.m, d) for k, d in zip(sups, candidates)]
     best = int(np.argmin(costs))
+    if not 0.0 < sups[best] < math.inf:
+        raise NumericalError(f"DPP sampler bound k_sup = {sups[best]} is not finite and positive")
     return candidates[best], sups[best]
 
 
@@ -555,13 +561,9 @@ def default_convergence_grid() -> np.ndarray:
     return (0.6 * (j + 1) / 8) * np.exp(2j * math.pi * (j + 0.5) / 8)
 
 
-def convergence_profile(
-    m: int,
-    delta: complex,
-    n_list,
-    grid: np.ndarray | None = None,
-) -> list[ConvergenceRow]:
-    """Sup distance between the n-point kernel and its limit on a point grid.
+def convergence_profile(m: int, delta: complex, n_list) -> list[ConvergenceRow]:
+    """Sup distance between the n-point kernel and its limit on the points of
+    :func:`default_convergence_grid`.
 
     All finite kernels reuse one orthonormal basis at max(n_list), so a
     profile over many n costs a single Gram factorization.
@@ -569,11 +571,7 @@ def convergence_profile(
     ns = sorted(set(int(n) for n in n_list))
     if not ns or ns[0] < 1:
         raise ValueError("n_list must contain positive integers")
-    if grid is None:
-        grid = default_convergence_grid()
-    grid = np.asarray(grid, dtype=np.complex128).ravel()
-    if np.any(np.abs(grid) >= 1.0):
-        raise ValueError("grid points must lie in the open unit disc")
+    grid = default_convergence_grid()
     base = orthonormal_basis(ns[-1], m, delta)
     k_lim = kernel_eval(limiting_kernel(m, delta), grid, grid)
     scale = float(np.max(np.abs(k_lim)))
@@ -610,7 +608,7 @@ def gauge_identity_check(points, m: int, delta: complex) -> float:
     z = np.asarray(points, dtype=np.complex128).ravel()
     if not z.size:
         raise ValueError("need at least one point")
-    if np.any(np.abs(z) >= 1.0):
+    if not np.all(np.abs(z) < 1.0):
         raise ValueError("points must lie in the open unit disc")
 
     weighted = []

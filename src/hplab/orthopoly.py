@@ -84,7 +84,7 @@ class PolynomialBasis:
 def leading_coefficients(basis: PolynomialBasis) -> np.ndarray:
     """Real positive leading coefficients of P_0, ..., P_{n-1}."""
     lead = np.real(np.diag(basis.coeffs))
-    if np.any(lead <= 0):
+    if not np.all(lead > 0):
         raise NumericalError("leading coefficients must be positive")
     return lead.copy()
 
@@ -196,7 +196,7 @@ def kernel_eval(spec: KernelSpec, z, w) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
     if spec.kind == "finite":
-        if np.any(np.abs(z) > 1.0 + 1e-12) or np.any(np.abs(w) > 1.0 + 1e-12):
+        if not (np.all(np.abs(z) <= 1.0 + 1e-12) and np.all(np.abs(w) <= 1.0 + 1e-12)):
             raise ValueError("finite kernels are evaluated on the closed unit disc")
         pz = spec.basis.evaluate(z)
         pw = spec.basis.evaluate(w)
@@ -204,7 +204,7 @@ def kernel_eval(spec: KernelSpec, z, w) -> np.ndarray:
         wb = pw.reshape(spec.basis.n, -1)
         out = zb.T @ np.conj(wb)
         return out.reshape(z.shape + w.shape)
-    if np.any(np.abs(z) >= 1.0) or np.any(np.abs(w) >= 1.0):
+    if not (np.all(np.abs(z) < 1.0) and np.all(np.abs(w) < 1.0)):
         raise ValueError("limit kernels are defined on the open unit disc only")
     zz = z.reshape(z.shape + (1,) * w.ndim)
     ww = np.conj(w.reshape((1,) * z.ndim + w.shape))

@@ -30,7 +30,6 @@ __all__ = [
     "HPParams",
     "MHConfig",
     "check_sampler",
-    "sample_ginibre",
     "sample_haar_unitary",
     "sample_haar_unitaries",
     "hp_log_weight",
@@ -130,13 +129,6 @@ def _ginibre(g: np.ndarray) -> np.ndarray:
     return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
 
 
-def sample_ginibre(rows: int, cols: int, rng: RngStream) -> np.ndarray:
-    """Complex Ginibre matrix: iid entries with N(0,1/2) real and imaginary parts."""
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
-    return _ginibre(rng.standard_normal((2, rows, cols)))
-
-
 def _haar_from_normals(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The unitaries of :func:`sample_haar_unitaries` from standard normals of
     shape ``(count, 2, dim, dim)``, and the unitarity defect of each.
@@ -194,12 +186,12 @@ def hp_log_weights(u: np.ndarray, delta: complex) -> np.ndarray:
     with an eigenvalue exactly 1 gives -inf for Re delta > 0 and +inf for
     Re delta < 0; for a purely imaginary delta that singular factor is dropped
     (it carries no weight in modulus).  A stack with a unitarity defect above
-    1e-10 raises :class:`ValueError`.
+    1e-10, or a NaN one, raises :class:`ValueError`.
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 3 or u.shape[1] != u.shape[2]:
         raise ValueError("expected a stack of square matrices")
-    if unitarity_defect(u) > 1e-10:
+    if not np.all(unitarity_defect(u) <= 1e-10):
         raise ValueError("matrix is not unitary within tolerance 1e-10")
     return _log_weights(u, complex(delta))
 

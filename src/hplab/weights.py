@@ -83,7 +83,7 @@ class WeightSpec:
 def weight_eval(spec: WeightSpec, z) -> np.ndarray:
     """Weight values at points ``z`` strictly inside the unit disc."""
     z = np.asarray(z, dtype=np.complex128)
-    if np.any(np.abs(z) >= 1.0):
+    if not np.all(np.abs(z) < 1.0):
         raise ValueError("weights are defined on the open unit disc only")
     radial = (1.0 - np.abs(z) ** 2) ** (spec.m - 1)
     if spec.kind == "bergman":

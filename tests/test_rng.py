@@ -5,15 +5,15 @@ from hplab.rng import RngStream
 
 
 def test_same_key_reproduces():
-    a = RngStream(123, 4).random(10)
-    b = RngStream(123, 4).random(10)
+    a = RngStream(123).substream(4).random(10)
+    b = RngStream(123).substream(4).random(10)
     assert np.array_equal(a, b)
 
 
 def test_distinct_keys_differ():
-    a = RngStream(123, 0).random(8)
-    b = RngStream(123, 1).random(8)
-    c = RngStream(124, 0).random(8)
+    a = RngStream(123).substream(0).random(8)
+    b = RngStream(123).substream(1).random(8)
+    c = RngStream(124).substream(0).random(8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -44,8 +44,6 @@ def test_seed_validation():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(2**64)
-    with pytest.raises(ValueError):
-        RngStream(0, -3)
     with pytest.raises(ValueError):
         RngStream(0).substream(-1)
 

@@ -15,7 +15,6 @@ from hplab.sampling import (
     _rejection_stack,
     hp_log_weight,
     hp_log_weights,
-    sample_ginibre,
     sample_haar_unitaries,
     sample_haar_unitary,
     sample_hua_pickrell_mh,
@@ -44,16 +43,6 @@ def test_mh_config_validation():
         MHConfig(burn_in=-1)
     with pytest.raises(ValueError):
         MHConfig(thinning=0)
-
-
-def test_ginibre_moments():
-    rng = RngStream(7)
-    g = sample_ginibre(40, 40, rng)
-    assert g.shape == (40, 40)
-    assert g.dtype == np.complex128
-    # entries are standard complex normals: E|g|^2 = 1, E g = 0
-    assert abs(np.mean(np.abs(g) ** 2) - 1.0) < 0.1
-    assert abs(np.mean(g)) < 0.1
 
 
 def test_haar_unitary_is_unitary():
