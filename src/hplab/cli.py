@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -240,13 +241,16 @@ def _record_output(outputs: list, dir_path, name: str):
 
 def _write_points_csv(path, configs: np.ndarray):
     # The bytes of csv.writer's default dialect: no field needs quoting.
-    rows = (
-        f"{i},{j},{z.real:.17g},{z.imag:.17g}"
-        for i, row in enumerate(configs.tolist())
-        for j, z in enumerate(row)
+    count, n = configs.shape
+    columns = zip(
+        np.repeat(np.arange(count), n).tolist(),
+        np.tile(np.arange(n), count).tolist(),
+        configs.real.ravel().tolist(),
+        configs.imag.ravel().tolist(),
     )
+    body = ("%d,%d,%.17g,%.17g\r\n" * (count * n)) % tuple(itertools.chain.from_iterable(columns))
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(["sample_index,point_index,re,im", *rows, ""]))
+        fh.write("sample_index,point_index,re,im\r\n" + body)
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:

@@ -13,7 +13,6 @@ Bergman projection kernel (1 - z conj(w))^(-(m+1)).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -222,17 +221,16 @@ def write_basis_csv(basis: PolynomialBasis, path) -> None:
     degree i holds the coefficients of z^i in each polynomial (real and
     imaginary parts in adjacent columns).
     """
+    # The bytes of csv.writer's default dialect: no field needs quoting.
+    n = basis.n
+    parts = np.empty((n, 2 * n))
+    parts[:, 0::2] = basis.coeffs.real
+    parts[:, 1::2] = basis.coeffs.imag
+    row = ",".join(["%d"] + ["%.17g"] * (2 * n))
+    lines = [
+        f"n,{n},m,{basis.m},delta_re,{basis.delta.real:.17g},delta_im,{basis.delta.imag:.17g}",
+        ",".join(["degree", *(f"p{k}_{part}" for k in range(n) for part in ("re", "im"))]),
+        *(row % (i, *values) for i, values in enumerate(parts.tolist())),
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", basis.n, "m", basis.m,
-                        "delta_re", f"{basis.delta.real:.17g}",
-                        "delta_im", f"{basis.delta.imag:.17g}"])
-        header = ["degree"]
-        for k in range(basis.n):
-            header += [f"p{k}_re", f"p{k}_im"]
-        writer.writerow(header)
-        for i in range(basis.n):
-            row = [str(i)]
-            for k in range(basis.n):
-                row += [f"{basis.coeffs[i, k].real:.17g}", f"{basis.coeffs[i, k].imag:.17g}"]
-            writer.writerow(row)
+        fh.write("\r\n".join([*lines, ""]))

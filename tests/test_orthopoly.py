@@ -243,3 +243,29 @@ def test_basis_csv_round_trip(tmp_path):
         vals = [float(x) for x in row[1:]]
         rebuilt[i] = [complex(vals[2 * k], vals[2 * k + 1]) for k in range(5)]
     assert np.max(np.abs(rebuilt - basis.coeffs)) < 1e-15
+
+
+def test_basis_csv_matches_csv_writer(tmp_path):
+    # the bulk writer gives the bytes of csv.writer with one formatted field per entry
+    fixed = np.array([[1.0, -0.0 + 1e-300j], [0.0, 1.5e-17 - 3j]])
+    cases = [
+        PolynomialBasis(2, 1, 0.0, fixed),
+        orthonormal_basis(1, 1, 0.0),
+        orthonormal_basis(6, 2, complex(-0.3, 0.7)),
+        orthonormal_basis(48, 4, complex(1.0, 2.0)),
+    ]
+    for basis in cases:
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", basis.n, "m", basis.m,
+                             "delta_re", f"{basis.delta.real:.17g}",
+                             "delta_im", f"{basis.delta.imag:.17g}"])
+            writer.writerow(["degree"] + [f"p{k}_{part}" for k in range(basis.n) for part in ("re", "im")])
+            for i in range(basis.n):
+                row = [str(i)]
+                for k in range(basis.n):
+                    row += [f"{basis.coeffs[i, k].real:.17g}", f"{basis.coeffs[i, k].imag:.17g}"]
+                writer.writerow(row)
+        write_basis_csv(basis, tmp_path / "basis.csv")
+        assert (tmp_path / "basis.csv").read_bytes() == ref.read_bytes(), basis.n
