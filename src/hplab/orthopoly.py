@@ -71,7 +71,7 @@ class PolynomialBasis:
         powers[0] = 1.0
         for i in range(1, self.n):
             powers[i] = powers[i - 1] * z
-        return np.tensordot(self.coeffs.T, powers, axes=1)
+        return (self.coeffs.T @ powers.reshape(self.n, -1)).reshape(powers.shape)
 
     def subbasis(self, n: int) -> "PolynomialBasis":
         """First ``n`` polynomials; valid because orthonormalization is nested."""

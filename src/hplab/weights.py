@@ -16,12 +16,14 @@ two independent ways: a series with an Euler-Maclaurin accelerated tail
 quadrature (used as a cross-check oracle).  Both handle the boundary
 singularity of the weight at z = 1 exactly.
 
-The series is evaluated for a whole batch of index pairs at once: the Gram
-matrix is one call over its lower triangle, and :func:`moment_series` is the
-one-pair case of the same code.  Its tail integral never subtracts large
-log-gamma values, so it holds for every Re delta > -1/2, and every entry is
-checked against its own error estimate: one over the tolerance is summed
-again with a longer head, and raises :class:`NumericalError` if still over.
+The series is a product of per-index factors: its exact head is one matrix
+product A diag(r) A^H, and its Euler-Maclaurin tail integral another, on
+the tail's quadrature nodes.  The Gram matrix is one block of rows and
+columns 0..n-1, and :func:`moment_series` is the 1 x 1 block of the same
+code.  The tail never subtracts large log-gamma values, so it holds for
+every Re delta > -1/2, and every entry is checked against its own error
+estimate: if one is over the tolerance the block is summed again with a
+longer head, and :class:`NumericalError` is raised if it is still over.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ __all__ = [
 # Largest basis size gram_matrix will build.  The monomial Gram matrix's
 # conditioning grows with n, and some parameters refuse to orthonormalize
 # below this cap: real delta = 5 at n = 40 (m = 1 to 4) and at n = 48 (m up
-# to 6), 4i from n = 30 and 1+4i from n = 40 (m = 1).
+# to 6), 4i from n = 30 and 1+4i from n = 31 (m = 1).
 GRAM_MAX_N = 48
 
 
@@ -140,14 +142,20 @@ def _psi2(z):
 
 
 # Exact terms summed before the Euler-Maclaurin tail takes over: _HEAD_STEPS,
-# doubled up to _HEAD_MAX_STEPS for entries whose estimate is over the
-# tolerance (the next Euler-Maclaurin term goes like (|delta| / T)^5).
+# doubled up to _HEAD_MAX_STEPS while some estimate is over the tolerance
+# (the next Euler-Maclaurin term goes like (|delta| / T)^5).
 _HEAD_STEPS = 80
 _HEAD_MAX_STEPS = 8 * _HEAD_STEPS
 # Gauss-Jacobi nodes of the tail integral.
 _TAIL_NODES = 32
 # Most terms kept of the expansion of a log-gamma difference.
 _LGAMMA_TERMS = 40
+# Row k - 2, column p: C(k, p) B_(k-p), the coefficient of alpha^p in the
+# Bernoulli polynomial B_k(alpha), for the orders k = 2.._LGAMMA_TERMS.
+_LGAMMA_ORDERS = np.arange(2, _LGAMMA_TERMS + 1)
+_BERNOULLI_TABLE = sp.comb(_LGAMMA_ORDERS[:, None], np.arange(_LGAMMA_TERMS + 1)) * sp.bernoulli(
+    _LGAMMA_TERMS
+)[np.maximum(_LGAMMA_ORDERS[:, None] - np.arange(_LGAMMA_TERMS + 1), 0)]
 
 
 @lru_cache(maxsize=None)
@@ -160,14 +168,9 @@ def _lgamma_ratio_coeffs(alpha: complex) -> tuple[np.ndarray, float]:
     at the smallest argument used, s = 80; the second value is the size there
     of the last term computed, which bounds what the expansion leaves out.
     """
-    bern = sp.bernoulli(_LGAMMA_TERMS)
-    orders = np.arange(2, _LGAMMA_TERMS + 1)
-    coeffs = np.empty(len(orders), dtype=np.complex128)
-    for i, k in enumerate(orders):
-        powers = np.arange(k, -1, -1)
-        binom = sp.comb(k, np.arange(k + 1)) * bern[: k + 1]
-        bk = np.sum(binom * (alpha**powers - 1.0))
-        coeffs[i] = (-1) ** k * bk / (k * (k - 1))
+    orders = _LGAMMA_ORDERS
+    bk = _BERNOULLI_TABLE @ (alpha ** np.arange(_LGAMMA_TERMS + 1) - 1.0)
+    coeffs = (-1.0) ** orders * bk / (orders * (orders - 1))
     sizes = np.abs(coeffs) * float(_HEAD_STEPS) ** (1 - orders)
     kept = np.flatnonzero(sizes >= 1e-20)
     coeffs = coeffs[: kept[-1] + 1 if len(kept) else 0]
@@ -182,132 +185,122 @@ def _lgamma_ratio_remainder(coeffs: np.ndarray, x):
     return acc
 
 
-def _tail_sum(j: np.ndarray, k: np.ndarray, m: int, delta: complex, T: np.ndarray):
-    """``sum_{t >= T} u_t / u_T`` and its error estimate, relative to u_T.
+def _moment_block(rows: np.ndarray, cols: np.ndarray, m: int, delta: complex, head: int):
+    """Moments ``c_{j,k}``, j in ``rows`` and k in ``cols``, and their error estimates.
 
+    With a_s = (-delta)_s / s! (zero for s < 0) and r_t = t!/(t+m)!,
+
+        c_{j,k} = pi (m-1)! sum_t u_t,   u_t = a_(t-j) conj(a_(t-k)) r_t.
+
+    Up to one cut T = top + max(head, top), top the largest index, the sum is
+    the product A diag(r) A^H with A[j, t] = a_(t-j), read from one cumprod.
+    The terms decay only like t^-p, p = 2a + 2 + m and a = Re delta, so
+    truncation alone cannot reach machine precision; the rest is
     Euler-Maclaurin: the integral of u(t)/u(T) over t >= T plus the B2 and B4
-    derivative corrections at T.  With p = 2a + 2 + m the decay exponent of
-    |u_t|, and y = T/t (that is x = y^(p-1) = (t/T)^-(p-1)),
+    derivative corrections at T.  When delta is a nonnegative integer d, a_s
+    vanishes beyond s = d, and the head cut at T = top + d + 1 is the sum.
 
-        int_T^inf u(t)/u(T) dt = T int_0^1 y^(p-2) h(y) dy,
+    With y = T/t, the tail integral is T int_0^1 y^(p-2) h(y) dy, where
+    h = (t/T)^p u(t)/u(T) is exp(b_j + conj(b_k) + c_m): the brackets
+    b_j = lgamma(t-j-delta) - lgamma(t-j+1) + (delta+1) log t and
+    c_m = lgamma(t+1) - lgamma(t+m+1) + m log t, each relative to its value
+    at t = T.  b_j is (-delta-1) log(1 - j/t) plus an expansion in 1/(t-j),
+    and c_m is -sum_i log(1 + i/t) exactly, so no large log-gamma values
+    cancel and 1/t = y/T never overflows, for every Re delta > -1/2.  On the
+    Gauss-Jacobi nodes of the weight y^(p-2), with F[j] = a_(T-j) exp(b_j),
+    the integral is T F diag(w exp(c_m)) F^H, one product again.  h is
+    analytic in y up to y = T / max(j, k) >= 2 (or y = -T/m, if nearer), and
+    the rule integrates it to about rho^(-2N), rho being the Bernstein-ellipse
+    parameter of that point.  The log-derivatives d1, d2, d3 of u at T are
+    each a row term, the conjugate of a column term and a constant.
 
-    where h = (t/T)^p u(t)/u(T).  log h is a sum of three brackets
-    lgamma(s+alpha) - lgamma(s+beta) at s = t - j, t - k and t, with O(1)
-    offsets, each taken relative to its value at t = T.  A bracket is
-    (alpha-beta) log s plus an expansion in 1/s (the third one,
-    lgamma(t+1) - lgamma(t+m+1), is -sum_i log(t+i) exactly), so no large
-    log-gamma values cancel and 1/t = y/T never overflows, for every
-    Re delta > -1/2.  h is analytic in y up to y = T/j >= 2 (or y = -T/m, if
-    nearer), and the Gauss-Jacobi rule for the weight y^(p-2) integrates it to
-    about rho^(-2N), rho being the Bernstein-ellipse parameter of that point.
+    Each entry has its own estimate: the next Euler-Maclaurin term, the
+    quadrature bound rho^(-N) (a square root of the rate, as h grows towards
+    y = T / max(j, k)), the truncated log-gamma expansions, and rounding.
     """
-    a = delta.real
-    dconj = delta.conjugate()
-    T = T.astype(np.float64)
-    p = 2.0 * a + 2.0 + m
-
-    x, w = sp.roots_jacobi(_TAIL_NODES, 0.0, p - 2.0)
-    w = w * 2.0 ** (1.0 - p)
-    inv_t = 0.5 * (1.0 + x)[None, :] / T[:, None]
-    coeffs, lg_err = _lgamma_ratio_coeffs(-delta)
-    log_h = np.zeros(inv_t.shape, dtype=np.complex128)
-    for idx, dlt, cf in ((j, delta, coeffs), (k, dconj, np.conj(coeffs))):
-        c = idx[:, None].astype(np.float64)
-        log_h += (-dlt - 1.0) * (np.log1p(-c * inv_t) - np.log1p(-c / T[:, None]))
-        log_h += _lgamma_ratio_remainder(cf, inv_t / (1.0 - c * inv_t))
-        log_h -= _lgamma_ratio_remainder(cf, 1.0 / (T - idx))[:, None]
-    for i in range(1, m + 1):
-        log_h -= np.log1p(i * inv_t) - np.log1p(i / T)[:, None]
-    integral = T * (np.exp(log_h) @ w)
-
-    # log-derivative corrections at T (Euler-Maclaurin with B2 and B4 terms)
-    args_plus = (T - j - delta, T - k - dconj, T + 1)
-    args_minus = (T - j + 1, T - k + 1, T + m + 1)
-    d1 = sum(sp.digamma(z) for z in args_plus) - sum(sp.digamma(z) for z in args_minus)
-    d2 = sum(_psi1(z) for z in args_plus) - sum(_psi1(z) for z in args_minus)
-    d3 = sum(_psi2(z) for z in args_plus) - sum(_psi2(z) for z in args_minus)
-    fppp = d3 + 3 * d1 * d2 + d1**3
-    tail_rel = integral + 0.5 - (1 / 6) / 2.0 * d1 - (-1 / 30) / 24.0 * fppp
-
-    # Error model: next Euler-Maclaurin correction, the quadrature bound
-    # rho^(-N) (a square root of the rate, as h grows towards y = T/j), and
-    # the truncated log-gamma expansions.
-    deriv_scale = (np.abs(d1) + np.abs(d2) ** 0.5 + np.abs(d3) ** (1.0 / 3.0)) ** 5
-    z0 = np.minimum(2.0 * T / np.maximum(j, 1) - 1.0, 2.0 * T / m + 1.0)
-    rho = z0 + np.sqrt(z0 * z0 - 1.0)
-    est = (1 / 30240.0) * deriv_scale + np.abs(integral) * (rho ** -_TAIL_NODES + 4.0 * lg_err)
-    return tail_rel, est
-
-
-def _moment_batch(j: np.ndarray, k: np.ndarray, m: int, delta: complex, head: int):
-    """Moments ``c_{j,k}`` for index arrays with j >= k, and their error estimates.
-
-    The moment is pi (m-1)! sum_{t >= j} u_t with the hypergeometric-type term
-
-        u_t = [(-delta)_(t-j)/(t-j)!] [(-conj delta)_(t-k)/(t-k)!] t!/(t+m)!,
-
-    summed exactly by its rational one-term recurrence up to T = j + H, with
-    H = max(head, largest j), then completed by Euler-Maclaurin
-    (:func:`_tail_sum`): the terms decay only like t^-(2a+2+m), so truncation
-    alone cannot reach machine precision.  When delta is a nonnegative integer
-    d the terms vanish beyond t = j + d, and the recurrence alone gives the
-    finite sum.  The estimates cover the next Euler-Maclaurin term, the tail
-    quadrature and expansions, and rounding.
-    """
-    a = delta.real
-    dconj = delta.conjugate()
-    terminating = delta.imag == 0.0 and a >= 0 and a == round(a)
-    steps = int(a) + 1 if terminating else max(head, int(j.max()))
-    d = j - k
-    dmax = int(d.max())
-    ratios = (np.arange(dmax) - dconj) / np.arange(1, dmax + 1)
-    u = np.cumprod(np.concatenate(([1.0 + 0j], ratios)))[d]
-    # u_j (m-1)!, carrying the moment's factor (m-1)!: j!/(j+m)! (m-1)! = 1/(m C(j+m, m))
-    u = u / (m * sp.binom(j + m, m))
-    head = np.zeros(len(j), dtype=np.complex128)
-    head_abs = np.zeros(len(j))
-    for s in range(steps):
-        t = j + s
-        head += u
-        head_abs += np.abs(u)
-        u = u * ((s - delta) * (t - k - dconj) * (t + 1)) / ((s + 1) * (t + 1 - k) * (t + 1 + m))
-
+    a_re = delta.real
+    top = int(max(rows.max(), cols.max()))
+    terminating = delta.imag == 0.0 and a_re >= 0 and a_re == round(a_re)
+    T = top + (int(a_re) + 1 if terminating else max(head, top))
+    # a_s at position top + s, for s = -top..T
+    ratios = (np.arange(T) - delta) / np.arange(1, T + 1)
+    a = np.concatenate((np.zeros(top), np.cumprod(np.concatenate(([1.0 + 0j], ratios)))))
+    # r_t (m-1)!, carrying the moment's factor (m-1)!: t!/(t+m)! (m-1)! = 1/(m C(t+m, m))
+    r = 1.0 / (m * sp.binom(np.arange(T + 1) + m, m))
+    a_rows = a[top + np.arange(T) - rows[:, None]]
+    a_cols = a[top + np.arange(T) - cols[:, None]]
+    head_sum = (a_rows * r[:T]) @ a_cols.conj().T
+    head_abs = (np.abs(a_rows) * r[:T]) @ np.abs(a_cols).T
     if terminating:
-        return math.pi * head, math.pi * 1e-16 * head_abs
-    tail_rel, tail_est = _tail_sum(j, k, m, delta, j + steps)
-    tail = u * tail_rel
-    est = np.abs(u) * tail_est + 1e-16 * (head_abs + np.abs(tail))
-    return math.pi * (head + tail), math.pi * est
+        return math.pi * head_sum, math.pi * 1e-16 * head_abs
+
+    p = 2.0 * a_re + 2.0 + m
+    y, w = sp.roots_jacobi(_TAIL_NODES, 0.0, p - 2.0)
+    inv_t = 0.5 * (1.0 + y) / T
+    i = np.arange(1.0, m + 1.0)[:, None]
+    w = w * 2.0 ** (1.0 - p) * np.exp(-np.sum(np.log1p(i * inv_t) - np.log1p(i / T), axis=0))
+    coeffs, lg_err = _lgamma_ratio_coeffs(-delta)
+
+    def factor(idx):
+        c = idx[:, None].astype(np.float64)
+        bracket = (-delta - 1.0) * (np.log1p(-c * inv_t) - np.log1p(-c / T))
+        bracket += _lgamma_ratio_remainder(coeffs, inv_t / (1.0 - c * inv_t))
+        bracket -= _lgamma_ratio_remainder(coeffs, 1.0 / (T - c))
+        return a[top + T - idx][:, None] * np.exp(bracket)
+
+    integral = (T * r[T]) * ((factor(rows) * w) @ factor(cols).conj().T)
+
+    def log_derivs(plus, minus):
+        return np.array([f(plus) - f(minus) for f in (sp.digamma, _psi1, _psi2)])
+
+    d_rows = log_derivs(T - rows - delta, T - rows + 1.0)
+    d_cols = log_derivs(T - cols - delta, T - cols + 1.0)
+    d_m = log_derivs(T + 1.0, T + m + 1.0)
+    d1, d2, d3 = d_rows[:, :, None] + d_cols.conj()[:, None, :] + d_m[:, None, None]
+    fppp = d3 + 3 * d1 * d2 + d1**3
+    u_T = np.outer(a[top + T - rows], a[top + T - cols].conj()) * r[T]
+    tail = integral + u_T * (0.5 - (1 / 6) / 2.0 * d1 - (-1 / 30) / 24.0 * fppp)
+
+    deriv_scale = (np.abs(d1) + np.abs(d2) ** 0.5 + np.abs(d3) ** (1.0 / 3.0)) ** 5
+    z0 = np.minimum(2.0 * T / np.maximum(np.maximum.outer(rows, cols), 1) - 1.0, 2.0 * T / m + 1.0)
+    rho = z0 + np.sqrt(z0 * z0 - 1.0)
+    est = (
+        np.abs(u_T) * (1 / 30240.0) * deriv_scale
+        + np.abs(integral) * (rho ** -_TAIL_NODES + 4.0 * lg_err)
+        + 1e-16 * (head_abs + np.abs(tail))
+    )
+    return math.pi * (head_sum + tail), math.pi * est
 
 
-def _moments(j, k, m: int, delta: complex, tol: float) -> np.ndarray:
-    """Moments ``c_{j,k}`` for index arrays with j >= k.
+def _moments(rows, cols, m: int, delta: complex, tol: float) -> np.ndarray:
+    """Moments ``c_{j,k}`` for j in ``rows`` and k in ``cols``, as a matrix.
 
-    An entry that is not finite, or whose error estimate exceeds ``tol``
-    relative to it, is summed again with the head doubled, up to
-    ``_HEAD_MAX_STEPS``; then :class:`NumericalError` names the worst one.
+    If an entry is not finite, or its error estimate exceeds ``tol`` relative
+    to it, the block is summed again with the head doubled, up to
+    ``_HEAD_MAX_STEPS``; then :class:`NumericalError` names the worst entry.
     """
-    j = np.asarray(j, dtype=np.int64)
-    k = np.asarray(k, dtype=np.int64)
-    vals = np.empty(len(j), dtype=np.complex128)
-    est = np.empty(len(j))
-    todo, head = np.arange(len(j)), _HEAD_STEPS
-    while len(todo) and head <= _HEAD_MAX_STEPS:
-        vals[todo], est[todo] = _moment_batch(j[todo], k[todo], m, delta, head)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    head = _HEAD_STEPS
+    while True:
+        vals, est = _moment_block(rows, cols, m, delta, head)
         ratio = est / (tol * np.maximum(1.0, np.abs(vals)))
         ratio[~np.isfinite(vals) | ~np.isfinite(ratio)] = np.inf
-        todo, head = np.flatnonzero(ratio > 1.0), 2 * head
-    worst = int(np.argmax(ratio))
-    if ratio[worst] > 1.0:
+        if not np.any(ratio > 1.0) or head >= _HEAD_MAX_STEPS:
+            break
+        head *= 2
+    j, k = np.unravel_index(np.argmax(ratio), ratio.shape)
+    if ratio[j, k] > 1.0:
         raise NumericalError(
-            f"moment series error estimate {est[worst]:.3e} exceeds tolerance for "
-            f"j={j[worst]} k={k[worst]} m={m} delta={delta}"
+            f"moment series error estimate {est[j, k]:.3e} exceeds tolerance for "
+            f"j={rows[j]} k={cols[k]} m={m} delta={delta}"
         )
     return vals
 
 
 def moment_series(j: int, k: int, m: int, delta: complex, tol: float = 1e-14) -> complex:
-    """Moment ``c_{j,k}`` of the disc weight, by the series of :func:`gram_matrix`.
+    """Moment ``c_{j,k}`` of the disc weight, the 1 x 1 block of the series
+    of :func:`gram_matrix`.
 
     Raises :class:`NumericalError` if the result is not finite or its error
     estimate exceeds ``tol`` relative to it.
@@ -315,11 +308,7 @@ def moment_series(j: int, k: int, m: int, delta: complex, tol: float = 1e-14) ->
     delta = _check_moment_args(j, k, m, delta)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    j, k = int(j), int(k)
-    # Swapping (j, k) conjugates the integral.
-    if k > j:
-        return complex(np.conj(_moments([k], [j], int(m), delta, float(tol))[0]))
-    return complex(_moments([j], [k], int(m), delta, float(tol))[0])
+    return complex(_moments([int(j)], [int(k)], int(m), delta, float(tol))[0, 0])
 
 
 def _jacobi_ratio(x: np.ndarray) -> np.ndarray:
@@ -437,13 +426,15 @@ def moment_quadrature(
 
 
 def gram_matrix(n: int, m: int, delta: complex, tol: float = 1e-14) -> np.ndarray:
-    """Hermitian matrix ``G[j, k] = c_{j,k}`` of monomial moments, 0 <= j, k < n."""
+    """Hermitian matrix ``G[j, k] = c_{j,k}`` of monomial moments, 0 <= j, k < n.
+
+    The series of :func:`moment_series` for the whole n x n block at once; the
+    lower triangle is kept and mirrored, with a real diagonal.
+    """
     check_basis_size(n)
     delta = _check_moment_args(0, 0, m, delta)
-    n = int(n)
-    jj, kk = np.tril_indices(n)
-    vals = _moments(jj, kk, int(m), delta, float(tol))
-    g = np.empty((n, n), dtype=np.complex128)
-    g[jj, kk] = vals
-    g[kk, jj] = np.conj(vals)
-    return g
+    idx = np.arange(int(n))
+    vals = _moments(idx, idx, int(m), delta, float(tol))
+    # the products leave rounding-level asymmetry; mirror the lower triangle
+    lower = np.tril(vals, -1)
+    return lower + lower.conj().T + np.diag(vals.diagonal().real)

@@ -45,16 +45,17 @@ def test_orthonormality_large_degree():
 
 @pytest.mark.parametrize("m, delta", [(2, 4j), (1, 1 + 4j)])
 def test_refinement_step_rescues_the_basis(m, delta):
-    # the Cholesky pass alone leaves residual 1.07e-9 at (30, 2, 4i) and
-    # 1.18e-9 at (30, 1, 1+4i); one refinement step brings both under 1e-9
-    basis = orthonormal_basis(30, m, delta)
-    assert _residual(basis, gram_matrix(30, m, delta)) <= 1e-9
+    # the Cholesky pass alone leaves residual 1.13e-9 at (35, 2, 4i) and
+    # 1.02e-9 at (27, 1, 1+4i); one refinement step brings both under 1e-9
+    n = 35 if m == 2 else 27
+    basis = orthonormal_basis(n, m, delta)
+    assert _residual(basis, gram_matrix(n, m, delta)) <= 1e-9
     assert np.all(np.triu(basis.coeffs) == basis.coeffs)
     assert np.all(leading_coefficients(basis) > 0)
 
 
 def test_refusal_names_residual_and_condition_number():
-    # at (30, 1, 4i) the refined residual is still 1.55e-9
+    # at (30, 1, 4i) the refined residual is still 1.68e-9
     with pytest.raises(NumericalError, match="at n=30, m=1, delta=4j") as info:
         orthonormal_basis(30, 1, 4j)
     resid, cond = (float(x) for x in re.findall(r"\d\.\d+e[+-]\d+", str(info.value)))
@@ -100,6 +101,22 @@ def test_evaluate_shapes_and_values():
     assert np.allclose(vals, direct, rtol=1e-13)
     grid = np.zeros((3, 2), dtype=complex)
     assert basis.evaluate(grid).shape == (4, 3, 2)
+
+
+@pytest.mark.parametrize("n", [1, 6, 40])
+def test_evaluate_matches_tensordot_bytes(n):
+    # the DPP draws read evaluate's values, so its matmul must give the very
+    # values of the tensordot it replaced
+    basis = orthonormal_basis(n, 1, complex(-0.3, 0.7))
+    rng = np.random.default_rng(n)
+    z2 = 0.95 * np.sqrt(rng.random((5, 7))) * np.exp(2j * np.pi * rng.random((5, 7)))
+    for z in (np.asarray(z2[0, 0]), z2[0], z2):
+        powers = np.ones((n,) + z.shape, dtype=complex)
+        for i in range(1, n):
+            powers[i] = powers[i - 1] * z
+        got = basis.evaluate(z)
+        assert got.shape == (n,) + z.shape
+        assert np.array_equal(got, np.tensordot(basis.coeffs.T, powers, axes=1))
 
 
 def test_subbasis_nested():

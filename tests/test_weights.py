@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from hplab.errors import ConfigError, NumericalError
 from hplab.orthopoly import orthonormal_basis
 from hplab.weights import (
     GRAM_MAX_N,
     WeightSpec,
+    _LGAMMA_TERMS,
     _gauge_factor,
+    _lgamma_ratio_coeffs,
     disc_weight_nodes,
     gram_matrix,
     moment_quadrature,
@@ -197,6 +200,41 @@ def test_gram_matrix_matches_quadrature_at_n48(m, delta):
     for j, k in GRAM48_ENTRIES:
         q = moment_quadrature(j, k, m, delta, 256, 1024)
         assert abs(g[j, k] - q) <= 1e-10 * abs(q), (j, k, g[j, k], q)
+
+
+@pytest.mark.parametrize("m, delta", [(1, complex(-0.3, 0.7)), (4, complex(1, 2)), (1, -0.45), (2, 3j)])
+def test_gram_matrix_matches_moment_series_at_n48(m, delta):
+    # moment_series cuts its 1 x 1 block at T = 2 max(j, k) or max(j, k) + 80,
+    # the Gram matrix all of its entries at T = 127, so the two tails differ;
+    # j < k runs moment_series's column factor through its conjugate
+    g = gram_matrix(48, m, delta)
+    for j, k in GRAM48_ENTRIES + [(k, j) for j, k in GRAM48_ENTRIES if j > k]:
+        c = moment_series(j, k, m, delta)
+        assert abs(g[j, k] - c) <= 1e-14 * max(1.0, abs(c)), (j, k, g[j, k], c)
+
+
+@pytest.mark.parametrize(
+    "delta", [complex(1, 2), -0.3, complex(-0.3, 0.7), 2j, complex(-0.45, 2), -0.49, 4j, 5.5]
+)
+def test_lgamma_ratio_coeffs_match_the_bernoulli_loop(delta):
+    # the coefficients come from one table product; the loop over orders is
+    # the reference, in another summation order, so they agree to rounding
+    # in each term's size at the smallest argument, s = 80 (the series only
+    # uses them at non-integer delta)
+    alpha = -complex(delta)
+    bern = sp.bernoulli(_LGAMMA_TERMS)
+    ref = []
+    for k in range(2, _LGAMMA_TERMS + 1):
+        bk = sum(math.comb(k, i) * bern[i] * (alpha ** (k - i) - 1.0) for i in range(k + 1))
+        ref.append((-1) ** k * bk / (k * (k - 1)))
+    scale = 80.0 ** (1 - np.arange(2, _LGAMMA_TERMS + 1))
+    sizes = np.abs(ref) * scale
+    kept = np.flatnonzero(sizes >= 1e-20)[-1] + 1
+    coeffs, lg_err = _lgamma_ratio_coeffs(alpha)
+    assert len(coeffs) == kept
+    assert abs(lg_err - sizes[-1]) <= 1e-12 * sizes[-1]
+    gap = np.abs(coeffs[::-1] - ref[:kept]) * scale[:kept]
+    assert np.max(gap) <= 1e-15 * np.max(sizes)
 
 
 def test_moment_series_at_large_degree():
