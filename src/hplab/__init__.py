@@ -28,8 +28,6 @@ from .weights import (
     disc_weight_nodes,
     gram_matrix,
     moment_quadrature,
-    moment_series,
-    radial_monomial_integral,
     weight_eval,
 )
 from .orthopoly import (
@@ -39,7 +37,6 @@ from .orthopoly import (
     closed_form_basis_delta0,
     finite_kernel,
     kernel_eval,
-    leading_coefficients,
     limiting_kernel,
     orthonormal_basis,
     reference_weight,
@@ -76,8 +73,6 @@ __all__ = [
     "disc_weight_nodes",
     "gram_matrix",
     "moment_quadrature",
-    "moment_series",
-    "radial_monomial_integral",
     "weight_eval",
     "KernelSpec",
     "PolynomialBasis",
@@ -85,7 +80,6 @@ __all__ = [
     "closed_form_basis_delta0",
     "finite_kernel",
     "kernel_eval",
-    "leading_coefficients",
     "limiting_kernel",
     "orthonormal_basis",
     "reference_weight",

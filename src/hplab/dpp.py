@@ -148,8 +148,10 @@ def _equal_mass_edges(x: np.ndarray, density: np.ndarray, k: int) -> np.ndarray:
     ``x[0]`` and ``x[-1]`` exactly.
     """
     mass = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(x))])
-    if mass[-1] <= 0:
-        raise NumericalError("weight mass vanished on the requested disc")
+    if not 0 < mass[-1] < np.inf:
+        raise NumericalError(
+            f"weight mass {mass[-1]} on the requested disc is not finite and positive"
+        )
     edges = np.interp(mass[-1] * np.arange(k + 1) / k, mass, x)
     edges[0], edges[-1] = x[0], x[-1]
     return edges

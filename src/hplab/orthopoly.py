@@ -26,7 +26,6 @@ __all__ = [
     "KernelSpec",
     "orthonormal_basis",
     "closed_form_basis_delta0",
-    "leading_coefficients",
     "finite_kernel",
     "limiting_kernel",
     "bergman_kernel",
@@ -78,14 +77,6 @@ class PolynomialBasis:
         if not 1 <= n <= self.n:
             raise ValueError(f"n must be in [1, {self.n}]")
         return PolynomialBasis(n, self.m, self.delta, self.coeffs[:n, :n].copy())
-
-
-def leading_coefficients(basis: PolynomialBasis) -> np.ndarray:
-    """Real positive leading coefficients of P_0, ..., P_{n-1}."""
-    lead = np.real(np.diag(basis.coeffs))
-    if not np.all(lead > 0):
-        raise NumericalError("leading coefficients must be positive")
-    return lead.copy()
 
 
 def orthonormal_basis(n: int, m: int, delta: complex) -> PolynomialBasis:

@@ -308,18 +308,11 @@ def _mh_accept_probability(logw_prop: float, logw_cur: float) -> float:
     """Independence-sampler acceptance probability, total over (+/-)inf weights.
 
     A +inf proposal is accepted outright unless the current state is also +inf
-    (probability zero; rejected to keep the arithmetic total).
+    (probability zero; rejected to keep the arithmetic total).  Equal
+    infinities make the difference NaN, and both such pairs are rejected.
     """
-    if logw_prop == float("inf"):
-        return 0.0 if logw_cur == float("inf") else 1.0
-    if logw_cur == float("inf"):
-        return 0.0
-    if logw_prop == float("-inf"):
-        return 0.0
-    if logw_cur == float("-inf"):
-        return 1.0
     d = logw_prop - logw_cur
-    return 1.0 if d >= 0 else math.exp(d)
+    return math.exp(min(0.0, d)) if d == d else 0.0
 
 
 def sample_hua_pickrell_mh(

@@ -18,12 +18,12 @@ singularity of the weight at z = 1 exactly.
 
 The series is a product of per-index factors: its exact head is one matrix
 product A diag(r) A^H, and its Euler-Maclaurin tail integral another, on
-the tail's quadrature nodes.  The Gram matrix is one block of rows and
-columns 0..n-1, and :func:`moment_series` is the 1 x 1 block of the same
-code.  The tail never subtracts large log-gamma values, so it holds for
-every Re delta > -1/2, and every entry is checked against its own error
-estimate: if one is over the tolerance the block is summed again with a
-longer head, and :class:`NumericalError` is raised if it is still over.
+the tail's quadrature nodes.  It is summed only as the Gram matrix, the
+square block of rows and columns 0..n-1.  The tail never subtracts large
+log-gamma values, so it holds for every Re delta > -1/2, and every entry is
+checked against its own error estimate: if one is over 1e-14 relative, the
+block is summed again with a longer head, and :class:`NumericalError` is
+raised if it is still over.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ __all__ = [
     "GRAM_MAX_N",
     "check_basis_size",
     "weight_eval",
-    "radial_monomial_integral",
-    "moment_series",
     "moment_quadrature",
     "disc_weight_nodes",
     "gram_matrix",
@@ -112,20 +110,6 @@ def _weight_mass(m: int, delta: complex) -> float:
     return math.pi * math.exp(log_mass)
 
 
-def radial_monomial_integral(p: int, m: int) -> float:
-    """``int_D |z|^(2p) (1-|z|^2)^(m-1) dA = pi * p! (m-1)! / (p+m)!``."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    check_params(m, 0)
-    return math.pi * math.exp(math.lgamma(p + 1) + math.lgamma(m) - math.lgamma(p + m + 1))
-
-
-def _check_moment_args(j: int, k: int, m: int, delta) -> complex:
-    if j < 0 or k < 0:
-        raise ValueError("monomial exponents must be nonnegative")
-    return check_params(m, delta)
-
-
 # Asymptotic polygamma expansions for the Euler-Maclaurin derivative
 # corrections; accurate to ~1e-20 for |z| >= 60, and the series tail always
 # evaluates them at |z| >= 65.
@@ -141,9 +125,11 @@ def _psi2(z):
     return -(zi**2) - zi**3 - zi**4 * (0.5 - zi**2 * (1 / 6 - zi**2 * (1 / 6)))
 
 
+# Largest error estimate of a moment, relative to max(1, |c_{j,k}|).
+_TOL = 1e-14
 # Exact terms summed before the Euler-Maclaurin tail takes over: _HEAD_STEPS,
-# doubled up to _HEAD_MAX_STEPS while some estimate is over the tolerance
-# (the next Euler-Maclaurin term goes like (|delta| / T)^5).
+# doubled up to _HEAD_MAX_STEPS while some estimate is over _TOL (the next
+# Euler-Maclaurin term goes like (|delta| / T)^5).
 _HEAD_STEPS = 80
 _HEAD_MAX_STEPS = 8 * _HEAD_STEPS
 # Gauss-Jacobi nodes of the tail integral.
@@ -158,7 +144,6 @@ _BERNOULLI_TABLE = sp.comb(_LGAMMA_ORDERS[:, None], np.arange(_LGAMMA_TERMS + 1)
 )[np.maximum(_LGAMMA_ORDERS[:, None] - np.arange(_LGAMMA_TERMS + 1), 0)]
 
 
-@lru_cache(maxsize=None)
 def _lgamma_ratio_coeffs(alpha: complex) -> tuple[np.ndarray, float]:
     """Coefficients of ``lgamma(s+alpha) - lgamma(s+1) - (alpha-1) log s``.
 
@@ -174,7 +159,7 @@ def _lgamma_ratio_coeffs(alpha: complex) -> tuple[np.ndarray, float]:
     sizes = np.abs(coeffs) * float(_HEAD_STEPS) ** (1 - orders)
     kept = np.flatnonzero(sizes >= 1e-20)
     coeffs = coeffs[: kept[-1] + 1 if len(kept) else 0]
-    return coeffs[::-1].copy(), float(sizes[-1])
+    return coeffs[::-1], float(sizes[-1])
 
 
 def _lgamma_ratio_remainder(coeffs: np.ndarray, x):
@@ -185,15 +170,15 @@ def _lgamma_ratio_remainder(coeffs: np.ndarray, x):
     return acc
 
 
-def _moment_block(rows: np.ndarray, cols: np.ndarray, m: int, delta: complex, head: int):
-    """Moments ``c_{j,k}``, j in ``rows`` and k in ``cols``, and their error estimates.
+def _moment_block(n: int, m: int, delta: complex, head: int):
+    """Moments ``c_{j,k}``, 0 <= j, k < n, and their error estimates.
 
     With a_s = (-delta)_s / s! (zero for s < 0) and r_t = t!/(t+m)!,
 
         c_{j,k} = pi (m-1)! sum_t u_t,   u_t = a_(t-j) conj(a_(t-k)) r_t.
 
-    Up to one cut T = top + max(head, top), top the largest index, the sum is
-    the product A diag(r) A^H with A[j, t] = a_(t-j), read from one cumprod.
+    Up to one cut T = top + max(head, top), top = n - 1, the sum is the
+    product A diag(r) A^H with A[j, t] = a_(t-j), read from one cumprod.
     The terms decay only like t^-p, p = 2a + 2 + m and a = Re delta, so
     truncation alone cannot reach machine precision; the rest is
     Euler-Maclaurin: the integral of u(t)/u(T) over t >= T plus the B2 and B4
@@ -219,7 +204,8 @@ def _moment_block(rows: np.ndarray, cols: np.ndarray, m: int, delta: complex, he
     y = T / max(j, k)), the truncated log-gamma expansions, and rounding.
     """
     a_re = delta.real
-    top = int(max(rows.max(), cols.max()))
+    top = n - 1
+    idx = np.arange(n)
     terminating = delta.imag == 0.0 and a_re >= 0 and a_re == round(a_re)
     T = top + (int(a_re) + 1 if terminating else max(head, top))
     # a_s at position top + s, for s = -top..T
@@ -227,10 +213,9 @@ def _moment_block(rows: np.ndarray, cols: np.ndarray, m: int, delta: complex, he
     a = np.concatenate((np.zeros(top), np.cumprod(np.concatenate(([1.0 + 0j], ratios)))))
     # r_t (m-1)!, carrying the moment's factor (m-1)!: t!/(t+m)! (m-1)! = 1/(m C(t+m, m))
     r = 1.0 / (m * sp.binom(np.arange(T + 1) + m, m))
-    a_rows = a[top + np.arange(T) - rows[:, None]]
-    a_cols = a[top + np.arange(T) - cols[:, None]]
-    head_sum = (a_rows * r[:T]) @ a_cols.conj().T
-    head_abs = (np.abs(a_rows) * r[:T]) @ np.abs(a_cols).T
+    a_head = a[top + np.arange(T) - idx[:, None]]
+    head_sum = (a_head * r[:T]) @ a_head.conj().T
+    head_abs = (np.abs(a_head) * r[:T]) @ np.abs(a_head).T
     if terminating:
         return math.pi * head_sum, math.pi * 1e-16 * head_abs
 
@@ -240,29 +225,26 @@ def _moment_block(rows: np.ndarray, cols: np.ndarray, m: int, delta: complex, he
     i = np.arange(1.0, m + 1.0)[:, None]
     w = w * 2.0 ** (1.0 - p) * np.exp(-np.sum(np.log1p(i * inv_t) - np.log1p(i / T), axis=0))
     coeffs, lg_err = _lgamma_ratio_coeffs(-delta)
-
-    def factor(idx):
-        c = idx[:, None].astype(np.float64)
-        bracket = (-delta - 1.0) * (np.log1p(-c * inv_t) - np.log1p(-c / T))
-        bracket += _lgamma_ratio_remainder(coeffs, inv_t / (1.0 - c * inv_t))
-        bracket -= _lgamma_ratio_remainder(coeffs, 1.0 / (T - c))
-        return a[top + T - idx][:, None] * np.exp(bracket)
-
-    integral = (T * r[T]) * ((factor(rows) * w) @ factor(cols).conj().T)
+    a_T = a[top + T - idx]
+    c = idx[:, None].astype(np.float64)
+    bracket = (-delta - 1.0) * (np.log1p(-c * inv_t) - np.log1p(-c / T))
+    bracket += _lgamma_ratio_remainder(coeffs, inv_t / (1.0 - c * inv_t))
+    bracket -= _lgamma_ratio_remainder(coeffs, 1.0 / (T - c))
+    factor = a_T[:, None] * np.exp(bracket)
+    integral = (T * r[T]) * ((factor * w) @ factor.conj().T)
 
     def log_derivs(plus, minus):
         return np.array([f(plus) - f(minus) for f in (sp.digamma, _psi1, _psi2)])
 
-    d_rows = log_derivs(T - rows - delta, T - rows + 1.0)
-    d_cols = log_derivs(T - cols - delta, T - cols + 1.0)
+    d_idx = log_derivs(T - idx - delta, T - idx + 1.0)
     d_m = log_derivs(T + 1.0, T + m + 1.0)
-    d1, d2, d3 = d_rows[:, :, None] + d_cols.conj()[:, None, :] + d_m[:, None, None]
+    d1, d2, d3 = d_idx[:, :, None] + d_idx.conj()[:, None, :] + d_m[:, None, None]
     fppp = d3 + 3 * d1 * d2 + d1**3
-    u_T = np.outer(a[top + T - rows], a[top + T - cols].conj()) * r[T]
+    u_T = np.outer(a_T, a_T.conj()) * r[T]
     tail = integral + u_T * (0.5 - (1 / 6) / 2.0 * d1 - (-1 / 30) / 24.0 * fppp)
 
     deriv_scale = (np.abs(d1) + np.abs(d2) ** 0.5 + np.abs(d3) ** (1.0 / 3.0)) ** 5
-    z0 = np.minimum(2.0 * T / np.maximum(np.maximum.outer(rows, cols), 1) - 1.0, 2.0 * T / m + 1.0)
+    z0 = np.minimum(2.0 * T / np.maximum(np.maximum.outer(idx, idx), 1) - 1.0, 2.0 * T / m + 1.0)
     rho = z0 + np.sqrt(z0 * z0 - 1.0)
     est = (
         np.abs(u_T) * (1 / 30240.0) * deriv_scale
@@ -272,19 +254,17 @@ def _moment_block(rows: np.ndarray, cols: np.ndarray, m: int, delta: complex, he
     return math.pi * (head_sum + tail), math.pi * est
 
 
-def _moments(rows, cols, m: int, delta: complex, tol: float) -> np.ndarray:
-    """Moments ``c_{j,k}`` for j in ``rows`` and k in ``cols``, as a matrix.
+def _moments(n: int, m: int, delta: complex) -> np.ndarray:
+    """The n x n block of moments ``c_{j,k}``, both triangles summed.
 
-    If an entry is not finite, or its error estimate exceeds ``tol`` relative
-    to it, the block is summed again with the head doubled, up to
+    If an entry is not finite, or its error estimate exceeds ``_TOL``
+    relative to it, the block is summed again with the head doubled, up to
     ``_HEAD_MAX_STEPS``; then :class:`NumericalError` names the worst entry.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
     head = _HEAD_STEPS
     while True:
-        vals, est = _moment_block(rows, cols, m, delta, head)
-        ratio = est / (tol * np.maximum(1.0, np.abs(vals)))
+        vals, est = _moment_block(n, m, delta, head)
+        ratio = est / (_TOL * np.maximum(1.0, np.abs(vals)))
         ratio[~np.isfinite(vals) | ~np.isfinite(ratio)] = np.inf
         if not np.any(ratio > 1.0) or head >= _HEAD_MAX_STEPS:
             break
@@ -293,22 +273,9 @@ def _moments(rows, cols, m: int, delta: complex, tol: float) -> np.ndarray:
     if ratio[j, k] > 1.0:
         raise NumericalError(
             f"moment series error estimate {est[j, k]:.3e} exceeds tolerance for "
-            f"j={rows[j]} k={cols[k]} m={m} delta={delta}"
+            f"j={j} k={k} m={m} delta={delta}"
         )
     return vals
-
-
-def moment_series(j: int, k: int, m: int, delta: complex, tol: float = 1e-14) -> complex:
-    """Moment ``c_{j,k}`` of the disc weight, the 1 x 1 block of the series
-    of :func:`gram_matrix`.
-
-    Raises :class:`NumericalError` if the result is not finite or its error
-    estimate exceeds ``tol`` relative to it.
-    """
-    delta = _check_moment_args(j, k, m, delta)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return complex(_moments([int(j)], [int(k)], int(m), delta, float(tol))[0, 0])
 
 
 def _jacobi_ratio(x: np.ndarray) -> np.ndarray:
@@ -352,7 +319,7 @@ def disc_weight_nodes(m: int, delta: complex, radial_nodes: int = 64, angular_no
     radial direction; spectrally accurate otherwise.  All weights are real
     positive and all nodes lie strictly inside the disc.
     """
-    delta = _check_moment_args(0, 0, m, delta)
+    delta = check_params(m, delta)
     if radial_nodes < 2 or angular_nodes < 2:
         raise ValueError("node counts must be at least 2")
     return _disc_nodes_cached(int(m), delta, int(radial_nodes), int(angular_nodes))
@@ -416,7 +383,9 @@ def moment_quadrature(
     Node counts are lower bounds and are raised internally so the rule
     resolves the monomial degree.
     """
-    delta = _check_moment_args(j, k, m, delta)
+    if j < 0 or k < 0:
+        raise ValueError("monomial exponents must be nonnegative")
+    delta = check_params(m, delta)
     if radial_nodes < 64 or angular_nodes < 64:
         raise ValueError("node counts below 64 are not supported")
     ns = max(radial_nodes, (j + k) // 2 + 8)
@@ -425,16 +394,16 @@ def moment_quadrature(
     return complex(np.sum(w * z**j * np.conj(z) ** k))
 
 
-def gram_matrix(n: int, m: int, delta: complex, tol: float = 1e-14) -> np.ndarray:
+def gram_matrix(n: int, m: int, delta: complex) -> np.ndarray:
     """Hermitian matrix ``G[j, k] = c_{j,k}`` of monomial moments, 0 <= j, k < n.
 
-    The series of :func:`moment_series` for the whole n x n block at once; the
-    lower triangle is kept and mirrored, with a real diagonal.
+    The moment series, summed for the whole n x n block at once; the lower
+    triangle is kept and mirrored, with a real diagonal.  Raises
+    :class:`NumericalError` if an entry is not finite or its error estimate
+    exceeds 1e-14 relative to it.
     """
     check_basis_size(n)
-    delta = _check_moment_args(0, 0, m, delta)
-    idx = np.arange(int(n))
-    vals = _moments(idx, idx, int(m), delta, float(tol))
+    vals = _moments(int(n), int(m), check_params(m, delta))
     # the products leave rounding-level asymmetry; mirror the lower triangle
     lower = np.tril(vals, -1)
     return lower + lower.conj().T + np.diag(vals.diagonal().real)

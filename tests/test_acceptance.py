@@ -37,7 +37,7 @@ from hplab.sampling import (
 )
 from hplab import truncation
 from hplab.truncation import sample_truncation_ensemble
-from hplab.weights import WeightSpec, gram_matrix, moment_quadrature, moment_series
+from hplab.weights import WeightSpec, gram_matrix, moment_quadrature
 
 pytestmark = pytest.mark.acceptance
 
@@ -270,21 +270,23 @@ def test_criterion_6_orthonormality_and_closed_form():
 def test_criterion_7_moment_oracles():
     # series vs quadrature agreement to 1e-8 relative for j,k <= 16 over
     # m <= 4 and the delta test set, plus the independently derived values
+    # (the series values are the Gram matrix's entries)
     worst, worst_at = 0.0, None
     for m in (1, 2, 3, 4):
         for delta in DELTA_SET:
+            g = gram_matrix(17, m, delta)
             for j in range(17):
                 for k in range(j + 1):
-                    s = moment_series(j, k, m, delta)
+                    s = g[j, k]
                     q = moment_quadrature(j, k, m, delta)
                     rel = abs(s - q) / (1.0 + abs(s))
                     if rel > worst:
                         worst, worst_at = rel, (j, k, m, delta)
     hand = [
-        (moment_series(0, 0, 1, 0.0), math.pi),
-        (moment_series(0, 0, 1, 1.0), 1.5 * math.pi),
-        (moment_series(1, 1, 2, 0.0), math.pi / 6.0),
-        (moment_series(0, 1, 1, 1.0), -0.5 * math.pi),
+        (gram_matrix(1, 1, 0.0)[0, 0], math.pi),
+        (gram_matrix(1, 1, 1.0)[0, 0], 1.5 * math.pi),
+        (gram_matrix(2, 2, 0.0)[1, 1], math.pi / 6.0),
+        (gram_matrix(2, 1, 1.0)[0, 1], -0.5 * math.pi),
     ]
     hand_gap = max(abs(got - want) for got, want in hand)
     ok = worst <= 1e-8 and hand_gap <= 1e-10

@@ -40,7 +40,7 @@ from hplab.weights import (
     _propose_batch,
     _weight_mass,
     disc_weight_nodes,
-    moment_series,
+    gram_matrix,
     weight_eval,
 )
 
@@ -95,6 +95,12 @@ def test_equal_mass_partition_validation():
         equal_mass_partition(w, 0, 4, 0.9)
     with pytest.raises(ValueError):
         equal_mass_partition(w, 2, 2, 1.1)
+
+
+def test_equal_mass_partition_refuses_an_overflowing_mass():
+    # at delta = 600 the weight overflows near z = -1, so the mass is inf
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="weight mass inf"):
+        equal_mass_partition(WeightSpec("hp", 1, 600.0), 4, 6, 0.95)
 
 
 def test_trace_identity_full_disc():
@@ -234,7 +240,7 @@ def test_dpp_proposals_follow_the_reference_weight(m, delta):
     part = equal_mass_partition(weight, 4, 6, 0.95)
     _, u = _cell_rules(part, weight)
     cells = np.sum(u, axis=1)
-    masses = np.append(cells, moment_series(0, 0, m, delta).real - cells.sum())
+    masses = np.append(cells, gram_matrix(1, m, delta)[0, 0].real - cells.sum())
     rng = RngStream(41)
     kept = []
     for _ in range(500):
@@ -278,7 +284,7 @@ def test_dpp_kernel_bound_holds_on_a_finer_circle():
 @pytest.mark.parametrize("delta", BOUND_DELTAS)
 def test_weight_mass_matches_the_moment_series(m, delta):
     mass = _weight_mass(m, complex(delta))
-    assert abs(mass / moment_series(0, 0, m, delta).real - 1.0) < 1e-13, (m, delta)
+    assert abs(mass / gram_matrix(1, m, delta)[0, 0].real - 1.0) < 1e-13, (m, delta)
 
 
 def _stepwise_dpp(basis, rng):

@@ -10,11 +10,13 @@ import numpy as np
 import scipy.stats as st
 
 from hplab.dpp import equal_mass_partition, sample_projection_dpp
-from hplab.orthopoly import leading_coefficients, orthonormal_basis
+from hplab.orthopoly import orthonormal_basis
 from hplab.rng import RngStream
 from hplab.sampling import HPParams, MHConfig
 from hplab.truncation import sample_truncation_ensemble
 from hplab.weights import WeightSpec, disc_weight_nodes, moment_quadrature
+
+from reference import leading_coefficients
 
 SAMPLES = 500
 LEVEL = 1e-3

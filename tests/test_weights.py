@@ -13,13 +13,14 @@ from hplab.weights import (
     _LGAMMA_TERMS,
     _gauge_factor,
     _lgamma_ratio_coeffs,
+    _moments,
     disc_weight_nodes,
     gram_matrix,
     moment_quadrature,
-    moment_series,
-    radial_monomial_integral,
     weight_eval,
 )
+
+from reference import radial_monomial_integral
 
 DELTAS = (0.0, 1.0, complex(1.0, 2.0), complex(-0.3, 0.0), complex(-0.3, 0.7))
 # the delta set plus the extremes that the DPP's gauge bound meets, as in test_dpp
@@ -99,37 +100,39 @@ def test_radial_monomial_integral_exact():
 
 def test_moment_hand_values():
     # independently derived reference moments
-    assert abs(moment_series(0, 0, 1, 0.0) - math.pi) < 1e-10
-    assert abs(moment_series(0, 0, 1, 1.0) - 1.5 * math.pi) < 1e-10
-    assert abs(moment_series(1, 1, 2, 0.0) - math.pi / 6) < 1e-10
-    assert abs(moment_series(0, 1, 1, 1.0) - (-0.5 * math.pi)) < 1e-10
-    assert abs(moment_series(1, 1, 1, 1.0) - 5.0 * math.pi / 6.0) < 1e-10
+    assert abs(gram_matrix(1, 1, 0.0)[0, 0] - math.pi) < 1e-10
+    assert abs(gram_matrix(2, 2, 0.0)[1, 1] - math.pi / 6) < 1e-10
+    g = gram_matrix(2, 1, 1.0)
+    assert abs(g[0, 0] - 1.5 * math.pi) < 1e-10
+    assert abs(g[0, 1] - (-0.5 * math.pi)) < 1e-10
+    assert abs(g[1, 1] - 5.0 * math.pi / 6.0) < 1e-10
     # non-integer exponent, checked against adaptive numerical integration
-    assert abs(moment_series(0, 0, 1, -0.3) - 3.376137709029689) < 1e-10
+    assert abs(gram_matrix(1, 1, -0.3)[0, 0] - 3.376137709029689) < 1e-10
 
 
 def test_moment_hermitian_symmetry():
+    # both triangles of the block are summed; gram_matrix mirrors the lower one
     for delta in DELTAS:
-        a = moment_series(3, 1, 2, delta)
-        b = moment_series(1, 3, 2, delta)
-        assert abs(a - np.conj(b)) < 1e-14 * max(1.0, abs(a))
+        c = _moments(4, 2, complex(delta))
+        assert abs(c[3, 1] - np.conj(c[1, 3])) < 1e-14 * max(1.0, abs(c[3, 1]))
 
 
 def test_moment_series_matches_quadrature():
     for delta in DELTAS:
         for m in (1, 2, 4):
+            g = gram_matrix(7, m, delta)
             for j, k in ((0, 0), (1, 0), (2, 2), (5, 3), (6, 6)):
-                s = moment_series(j, k, m, delta)
                 q = moment_quadrature(j, k, m, delta)
-                assert abs(s - q) < 1e-11 * max(1.0, abs(s)), (j, k, m, delta)
+                assert abs(g[j, k] - q) < 1e-11 * max(1.0, abs(g[j, k])), (j, k, m, delta)
 
 
 def test_moment_delta_zero_is_radial():
     for m in (1, 3):
-        for j, k in ((0, 0), (2, 2), (4, 4)):
-            assert abs(moment_series(j, k, m, 0.0) - radial_monomial_integral(j, m)) < 1e-12
+        g = gram_matrix(5, m, 0.0)
+        for j in (0, 2, 4):
+            assert abs(g[j, j] - radial_monomial_integral(j, m)) < 1e-12
         # off-diagonal moments vanish by rotational symmetry
-        assert abs(moment_series(3, 1, m, 0.0)) < 1e-12
+        assert abs(g[3, 1]) < 1e-12
 
 
 def test_disc_nodes_properties():
@@ -137,15 +140,16 @@ def test_disc_nodes_properties():
     assert np.all(np.abs(z) < 1.0)
     assert np.all(w > 0)
     # rule integrates the constant to the zeroth moment
-    assert abs(np.sum(w) - moment_series(0, 0, 2, complex(1.0, 2.0))) < 1e-11
+    assert abs(np.sum(w) - gram_matrix(1, 2, complex(1.0, 2.0))[0, 0]) < 1e-11
 
 
 def test_disc_nodes_integrate_polynomials():
     m, delta = 1, complex(-0.3, 0.7)
     z, w = disc_weight_nodes(m, delta)
+    g = gram_matrix(4, m, delta)
     for j, k in ((1, 0), (2, 1), (3, 3)):
         got = np.sum(w * z**j * np.conj(z) ** k)
-        assert abs(got - moment_series(j, k, m, delta)) < 1e-11
+        assert abs(got - g[j, k]) < 1e-11
 
 
 def test_gram_matrix_structure():
@@ -155,9 +159,8 @@ def test_gram_matrix_structure():
         assert np.allclose(g, g.conj().T, rtol=0, atol=1e-13)
         evals = np.linalg.eigvalsh(g)
         assert evals.min() > 0
-        for j in range(6):
-            for k in range(6):
-                assert abs(g[j, k] - moment_series(j, k, 2, delta)) < 1e-12
+        # the mirrored triangle matches the one the series summed
+        assert np.max(np.abs(g - _moments(6, 2, complex(delta)))) < 1e-12
 
 
 def test_gram_matrix_cap():
@@ -170,11 +173,11 @@ def test_gram_matrix_cap():
 
 def test_moment_argument_validation():
     with pytest.raises(ValueError):
-        moment_series(-1, 0, 1, 0.0)
+        moment_quadrature(-1, 0, 1, 0.0)
     with pytest.raises(ValueError):
-        moment_series(0, 0, 0, 0.0)
+        gram_matrix(1, 0, 0.0)
     with pytest.raises(ValueError):
-        moment_series(0, 0, 1, -0.6)
+        gram_matrix(1, 1, -0.6)
     with pytest.raises(ValueError):
         moment_quadrature(0, 0, 1, 0.0, radial_nodes=8)
 
@@ -204,12 +207,13 @@ def test_gram_matrix_matches_quadrature_at_n48(m, delta):
 
 @pytest.mark.parametrize("m, delta", [(1, complex(-0.3, 0.7)), (4, complex(1, 2)), (1, -0.45), (2, 3j)])
 def test_gram_matrix_matches_moment_series_at_n48(m, delta):
-    # moment_series cuts its 1 x 1 block at T = 2 max(j, k) or max(j, k) + 80,
-    # the Gram matrix all of its entries at T = 127, so the two tails differ;
-    # j < k runs moment_series's column factor through its conjugate
+    # the block up to top = max(j, k) cuts its series at T = 2 top or top + 80,
+    # the n = 48 Gram matrix all of its entries at T = 127, so the two tails
+    # differ; j < k reads the small block's upper triangle, summed through the
+    # column factor's conjugate, against the mirrored lower one at n = 48
     g = gram_matrix(48, m, delta)
     for j, k in GRAM48_ENTRIES + [(k, j) for j, k in GRAM48_ENTRIES if j > k]:
-        c = moment_series(j, k, m, delta)
+        c = _moments(max(j, k) + 1, m, complex(delta))[j, k]
         assert abs(g[j, k] - c) <= 1e-14 * max(1.0, abs(c)), (j, k, g[j, k], c)
 
 
@@ -237,13 +241,6 @@ def test_lgamma_ratio_coeffs_match_the_bernoulli_loop(delta):
     assert np.max(gap) <= 1e-15 * np.max(sizes)
 
 
-def test_moment_series_at_large_degree():
-    # far beyond the Gram cap the head runs to T = 2j, so the tail stays exact
-    s = moment_series(1000, 1000, 1, complex(-0.3, 0.7), tol=1e-12)
-    q = moment_quadrature(1000, 1000, 1, complex(-0.3, 0.7), 512, 4096)
-    assert abs(s - q) <= 1e-10 * abs(q)
-
-
 @pytest.mark.parametrize("delta", [2.5j, 3j, -0.3 + 2j, -0.45 + 2j, 1 + 3j])
 @pytest.mark.parametrize("n", [1, 2, 20])
 def test_gram_matrix_longer_head_at_moderate_imaginary_delta(n, delta):
@@ -259,8 +256,10 @@ def test_gram_matrix_longer_head_at_moderate_imaginary_delta(n, delta):
 
 
 def test_gram_matrix_tolerance_refused():
-    with pytest.raises(NumericalError, match=r"j=\d+ k=\d+ m=1 delta=\(1\+2j\)"):
-        gram_matrix(48, 1, complex(1.0, 2.0), tol=1e-20)
+    # at |Im delta| = 50 the longest head still leaves estimates far over
+    # 1e-14; the refusal names the worst entry
+    with pytest.raises(NumericalError, match=r"j=1 k=1 m=1 delta=\(-0\.3\+50j\)"):
+        gram_matrix(2, 1, complex(-0.3, 50.0))
 
 
 def test_basis_orthonormal_near_the_lower_delta_bound():
