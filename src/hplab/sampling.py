@@ -4,14 +4,25 @@ The Hua-Pickrell measure on U(N) with parameter delta (Re delta > -1/2) has
 density proportional to ``|det(I - U)^delta|^2`` against Haar measure.  Two
 samplers target it: an exact rejection sampler valid for Re delta >= 0, and an
 independence Metropolis-Hastings chain with Haar proposals valid for every
-admissible delta.  Both consume only differences of ``hp_log_weights``, so
-the unknown normalization constant of the measure never enters.
+admissible delta.  Both consume only differences of log-weights, so the
+unknown normalization constant of the measure never enters.
 
-Haar draws and log-weights work on stacks of shape ``(count, dim, dim)``, and
-the single-matrix functions are their ``count = 1`` case.  The rejection
-sampler proposes in blocks.  The Metropolis chain proposes in speculative
-blocks that it rewinds at the first certain move, so a seed gives the same
-chain as stepping one proposal at a time.
+The rejection sampler works in Verblunsky coordinates (Bourgade, Nikeghbali
+and Rouault, IMRN 2009).  A Haar U(N) is the reflection product
+``R(v_1) (1 (+) R(v_2)) ... (1_{N-1} (+) R(v_N))``, with
+``R(v) = I - (e1 - v)(e1 - v)^* / (1 - conj(v_1))`` and each ``v_k`` uniform on
+the unit sphere of C^(N-k+1).  Then ``det(I - U) = prod_k (1 - gamma_k)``
+with ``gamma_k = (v_k)_1``, so a proposal is weighed from its N coefficients
+alone, and only accepted proposals are completed and built.  The n x n corner
+depends on ``v_1..v_n`` only: it is n rank-one updates of an n x N block of
+rows.
+
+Haar draws for the other samplers are Ginibre QR, and they and their
+log-weights work on stacks of shape ``(count, dim, dim)``; the single-matrix
+functions are their ``count = 1`` case.  The rejection sampler proposes in
+blocks.  The Metropolis chain proposes in speculative blocks that it rewinds
+at the first certain move, so a seed gives the same chain as stepping one
+proposal at a time.
 """
 
 from __future__ import annotations
@@ -41,8 +52,8 @@ __all__ = [
 
 SAMPLERS = ("haar", "hp_rejection", "hp_mh")
 
-# Matrix entries per block of Haar proposals in the rejection sampler: 3640
-# proposals on U(3), about 0.5 MB per complex stack.
+# Verblunsky coefficients per block of Haar proposals in the rejection sampler:
+# 10922 proposals on U(3), about 0.5 MB per complex block.
 PROPOSAL_BLOCK_ENTRIES = 2**15
 
 # Expected Haar proposals above which a rejection run is refused up front; the
@@ -113,7 +124,9 @@ def check_sampler(sampler: str | None, delta: complex) -> str:
 
 
 def _defects(u: np.ndarray) -> np.ndarray:
-    """Max-norm of U*U - I per matrix of a stack ``(..., dim, dim)``."""
+    """Max-norm of U*U - I per matrix of a stack ``(..., rows, cols)``: the
+    unitarity defect of a square U, the orthonormality defect of the columns
+    of a tall one."""
     gram = np.swapaxes(u.conj(), -1, -2) @ u
     return np.max(np.abs(gram - np.eye(u.shape[-1])), axis=(-2, -1), initial=0.0)
 
@@ -143,14 +156,13 @@ def _haar_from_normals(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, _defects(u)
 
 
-def _check_haar(defect: float) -> None:
-    """Raise :class:`NumericalError` for a defect of :func:`_haar_from_normals`
-    above 1e-12 or NaN."""
+def _check_haar(
+    defect: float, cause: str = "the Ginibre draw was numerically singular or QR failed"
+) -> None:
+    """Raise :class:`NumericalError` for a unitarity defect above 1e-12 or NaN,
+    naming its likely ``cause``."""
     if not defect <= 1e-12:
-        raise NumericalError(
-            f"Haar draw is not unitary, defect {defect:.3e}: the Ginibre draw was "
-            "numerically singular or QR failed"
-        )
+        raise NumericalError(f"Haar draw is not unitary, defect {defect:.3e}: {cause}")
 
 
 def sample_haar_unitaries(dim: int, count: int, rng: RngStream) -> np.ndarray:
@@ -200,20 +212,30 @@ def _log_weights(u: np.ndarray, delta: complex) -> np.ndarray:
     """:func:`hp_log_weights` of a stack already known to be unitary, such as
     the output of :func:`sample_haar_unitaries`."""
     try:
-        if delta.imag == 0:
-            sign, logdet = np.linalg.slogdet(np.eye(u.shape[1]) - u)
-            singular = sign == 0
-            logw = 2.0 * delta.real * np.where(singular, 0.0, logdet)
-        else:
-            one_minus = 1.0 - np.linalg.eigvals(u)
-            zero = one_minus == 0
-            singular = np.any(zero, axis=1)
-            logs = np.log(np.where(zero, 1.0, one_minus))
-            logw = 2.0 * np.real(delta * np.sum(logs, axis=1))
+        if delta.imag != 0:
+            return _factor_log_weights(1.0 - np.linalg.eigvals(u), delta)
+        sign, logdet = np.linalg.slogdet(np.eye(u.shape[1]) - u)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+    logw = 2.0 * delta.real * np.where(sign == 0, 0.0, logdet)
     if delta.real != 0:
-        logw[singular] = -math.copysign(math.inf, delta.real)
+        logw[sign == 0] = -math.copysign(math.inf, delta.real)
+    return logw
+
+
+def _factor_log_weights(one_minus: np.ndarray, delta: complex) -> np.ndarray:
+    """``2 Re(delta * sum_k Log(f_k))`` per row of factors ``f = one_minus``
+    of shape ``(count, K)``, with the singular conventions of
+    :func:`hp_log_weights` for a factor exactly 0.  For real delta no branch
+    enters and ``2 delta sum_k log|f_k|`` is used."""
+    zero = one_minus == 0
+    safe = np.where(zero, 1.0, one_minus)
+    if delta.imag == 0:
+        logw = 2.0 * delta.real * np.sum(np.log(np.abs(safe)), axis=1)
+    else:
+        logw = 2.0 * np.real(delta * np.sum(np.log(safe), axis=1))
+    if delta.real != 0:
+        logw[np.any(zero, axis=1)] = -math.copysign(math.inf, delta.real)
     return logw
 
 
@@ -264,36 +286,110 @@ def _check_rejection_cost(dim: int, delta: complex, count: int) -> None:
         )
 
 
-def _rejection_stack(dim: int, delta: complex, count: int, rng: RngStream):
-    """``count`` exact Hua-Pickrell samples on U(dim) by rejection from Haar.
+def _verblunsky_coefficients(dim: int, count: int, rng: RngStream) -> np.ndarray:
+    """The Verblunsky coefficients ``gamma_1..gamma_dim`` of ``count`` Haar
+    U(dim) draws, shape ``(count, dim)``.
 
-    Returns the stack ``(count, dim, dim)`` and the number of Haar proposals
-    up to and including the last accepted one.  Proposals come in blocks of
+    They are independent.  For ``d = dim - k + 1 >= 2``, ``|gamma_k|^2`` is
+    Beta(1, d - 1), drawn by inverting its distribution function, with a
+    uniform angle; ``gamma_dim`` is uniform on the circle.  Each draw takes
+    ``2 dim - 1`` uniforms: the moduli, then the angles.
+    """
+    u = rng.random((count, 2 * dim - 1))
+    gamma = np.exp(2j * np.pi * u[:, dim - 1:])
+    # 1 - (1 - u)^(1/(d-1)), accurate for small moduli
+    gamma[:, :-1] *= np.sqrt(-np.expm1(np.log1p(-u[:, : dim - 1]) / np.arange(dim - 1, 0, -1)))
+    return gamma
+
+
+def _reflection_vectors(gamma: np.ndarray, keep: int, rng: RngStream) -> np.ndarray:
+    """The reflection vectors ``v_1..v_keep`` of coefficients ``gamma`` of shape
+    ``(count, dim)``, as ``(count, keep, dim)`` with ``v_k`` in the first
+    ``dim - k + 1`` entries of row k and zeros after.
+
+    ``v_k = (gamma_k, sqrt(1 - |gamma_k|^2) w)`` with w uniform on the unit
+    sphere of C^(dim-k), a normalised complex Gaussian; ``2 (dim - 1)`` normals
+    per row are drawn and the tail of row k is unused.
+    """
+    count, dim = gamma.shape
+    g = _ginibre(rng.standard_normal((count, 2, keep, dim - 1)))
+    g *= np.arange(dim - 1) < (dim - 1 - np.arange(keep))[:, None]
+    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    g /= np.where(norm == 0, 1.0, norm)
+    v = np.empty((count, keep, dim), dtype=np.complex128)
+    head = gamma[:, :keep]
+    v[:, :, 0] = head
+    v[:, :, 1:] = np.sqrt(np.maximum(1.0 - np.abs(head) ** 2, 0.0))[..., None] * g
+    return v
+
+
+def _reflection_rows(v: np.ndarray) -> np.ndarray:
+    """The first ``keep`` rows of ``R(v_1) (1 (+) R(v_2)) ... (1_{keep-1} (+) R(v_keep))``
+    for reflection vectors ``v`` of shape ``(count, keep, dim)`` laid out as
+    :func:`_reflection_vectors` gives them, shape ``(count, keep, dim)``.
+
+    ``R(v) = I - (e1 - v)(e1 - v)^* / (1 - conj(v_1))`` maps e1 to v; the
+    factors after ``keep`` change only columns from ``keep`` on, so these rows'
+    first ``keep`` columns are the corner of the full product, and at
+    ``keep = dim`` the rows are the full matrix.  Factor k is one rank-one
+    update of columns ``k-1..dim-1``.  At ``v = e1`` (gamma = 1), where the
+    formula is 0/0, R is the identity.
+    """
+    count, keep, dim = v.shape
+    x = np.zeros((count, keep, dim), dtype=np.complex128)
+    x[:, np.arange(keep), np.arange(keep)] = 1.0
+    for k in range(keep):
+        w = -v[:, k, : dim - k]
+        w[:, 0] += 1.0
+        c = 1.0 - np.conj(v[:, k, 0])
+        scale = np.divide(1.0, c, out=np.zeros_like(c), where=c != 0)
+        block = x[:, :, k:]
+        block -= (block @ w[:, :, None]) * (scale[:, None] * w.conj())[:, None, :]
+    return x
+
+
+def _rejection_stack(dim: int, keep: int, delta: complex, count: int, rng: RngStream):
+    """The ``keep`` x ``keep`` corners of ``count`` exact Hua-Pickrell samples on
+    U(dim), by rejection from Haar in Verblunsky coordinates.
+
+    Returns the corners, shape ``(count, keep, keep)`` (the full matrices at
+    ``keep = dim``), and the number of Haar proposals up to and including the
+    last accepted one.  A proposal is the dim coefficients of
+    :func:`_verblunsky_coefficients`, weighed by
+    ``2 Re(delta * sum_k Log(1 - gamma_k))``.  Proposals come in blocks of
     about the expected number still needed, capped at
-    ``PROPOSAL_BLOCK_ENTRIES`` matrix entries; each proposal has one uniform,
-    and acceptances are kept in proposal order.  The callers check the sampler
-    and the cost.
+    ``PROPOSAL_BLOCK_ENTRIES`` coefficients; each proposal has one uniform,
+    and acceptances are kept in proposal order.  Only the accepted proposals
+    are completed to reflection vectors and built, by
+    :func:`_reflection_rows`.  A row block whose orthonormality defect is
+    above 1e-12 or NaN raises :class:`NumericalError`.  The callers check the
+    sampler and the cost.
     """
     log_bound = _rejection_log_bound(dim, delta)
     acceptance = _rejection_acceptance(dim, delta)
-    cap = max(1, PROPOSAL_BLOCK_ENTRIES // dim**2)
-    kept = [np.empty((0, dim, dim), dtype=np.complex128)]
+    cap = max(1, PROPOSAL_BLOCK_ENTRIES // dim)
+    kept = [np.empty((0, dim), dtype=np.complex128)]
     proposals, remaining = 0, count
     while remaining > 0:
         size = cap if remaining > cap * acceptance else math.ceil(remaining / acceptance)
-        u = sample_haar_unitaries(dim, size, rng)
-        logw = _log_weights(u, delta)
+        gamma = _verblunsky_coefficients(dim, size, rng)
+        logw = _factor_log_weights(1.0 - gamma, delta)
         # log(uniform) < logw - logB accepts with probability exp(logw - logB)
         hits = np.flatnonzero(np.log(rng.random(size)) < logw - log_bound)[:remaining]
-        kept.append(u[hits])
+        kept.append(gamma[hits])
         remaining -= hits.size
         proposals += int(hits[-1]) + 1 if remaining == 0 else size
-    return np.concatenate(kept), proposals
+    rows = _reflection_rows(_reflection_vectors(np.concatenate(kept), keep, rng))
+    defect = _defects(np.swapaxes(rows.conj(), -1, -2))
+    _check_haar(float(np.max(defect, initial=0.0)), "a reflection vector was not finite")
+    return rows[:, :, :keep], proposals
 
 
 def sample_hua_pickrell_rejection(dim: int, delta: complex, rng: RngStream) -> np.ndarray:
     """Exact Hua-Pickrell sample on U(dim) by rejection from Haar.
 
+    Proposals are weighed by their Verblunsky coefficients, and the accepted
+    one is built as a reflection product; see :func:`_rejection_stack`.
     Requires Re delta >= 0 so the density ratio is bounded.  A draw expected
     to need more than ``REJECTION_MAX_PROPOSALS`` Haar proposals raises
     :class:`NumericalError` before any sampling.
@@ -301,7 +397,7 @@ def sample_hua_pickrell_rejection(dim: int, delta: complex, rng: RngStream) -> n
     delta = complex(delta)
     check_sampler("hp_rejection", delta)
     _check_rejection_cost(dim, delta, 1)
-    return _rejection_stack(dim, delta, 1, rng)[0][0]
+    return _rejection_stack(dim, dim, delta, 1, rng)[0][0]
 
 
 def _mh_accept_probability(logw_prop: float, logw_cur: float) -> float:

@@ -93,7 +93,9 @@ def sample_truncation_ensemble(
     Rows within a configuration are in eigensolver order, not sorted.
 
     The iid samplers are split into chunks of ``ENSEMBLE_CHUNK`` draws, chunk
-    ``c`` consuming substream ``c`` of ``rng``; the chunks run on
+    ``c`` consuming substream ``c`` of ``rng``.  A "haar" chunk truncates full
+    Ginibre-QR unitaries; an "hp_rejection" chunk builds only the n x n
+    corners of its accepted proposals.  The chunks run on
     :func:`ensemble_threads` threads, and the output does not depend on that
     number.  An error raised in any chunk reaches the caller.  The MH sampler
     is a single sequential chain (substream 0).
@@ -120,10 +122,11 @@ def sample_truncation_ensemble(
     def chunk(c: int) -> np.ndarray:
         size = min(ENSEMBLE_CHUNK, count - c * ENSEMBLE_CHUNK)
         if sampler == "haar":
-            u = sample_haar_unitaries(params.dim, size, rng.substream(c))
+            corners = truncate(sample_haar_unitaries(params.dim, size, rng.substream(c)), params.n)
         else:
-            u, _ = _rejection_stack(params.dim, params.delta, size, rng.substream(c))
-        return eigenvalues(truncate(u, params.n))
+            corners, _ = _rejection_stack(params.dim, params.n, params.delta, size,
+                                          rng.substream(c))
+        return eigenvalues(corners)
 
     with ThreadPoolExecutor(max_workers=ensemble_threads(count, sampler)) as pool:
         return np.concatenate(list(pool.map(chunk, range(n_chunks))), axis=0)

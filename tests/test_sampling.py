@@ -11,8 +11,11 @@ from hplab.sampling import (
     HPParams,
     MHConfig,
     _mh_accept_probability,
+    _reflection_rows,
+    _reflection_vectors,
     _rejection_acceptance,
     _rejection_stack,
+    _verblunsky_coefficients,
     hp_log_weight,
     hp_log_weights,
     sample_haar_unitaries,
@@ -21,6 +24,8 @@ from hplab.sampling import (
     sample_hua_pickrell_rejection,
     unitarity_defect,
 )
+
+from reference import reflection_product
 
 
 def test_params_validation():
@@ -189,19 +194,22 @@ def test_hopeless_rejection_draw_refused():
 
 
 def test_rejection_acceptance_rate():
-    # for delta = 1 the average acceptance ratio is (dim + 1) / 2^(2 dim)
+    # for delta = 1 the average acceptance ratio is (dim + 1) / 2^(2 dim), for
+    # the full matrix and for a 1 x 1 corner alike: every coefficient is weighed
     dim, delta, count = 3, 1.0, 400
     rng = RngStream(23)
-    proposals = 0
-    for i in range(count):
-        u, used = _rejection_stack(dim, delta, 1, rng)
-        proposals += used
-        if i < 20:
-            assert unitarity_defect(u) < 1e-12
-    rate = count / proposals
     p = (dim + 1) / 2 ** (2 * dim)
-    se = math.sqrt(p * (1 - p) / proposals)
-    assert abs(rate - p) < 5 * se
+    for keep in (dim, 1):
+        proposals = 0
+        for i in range(count):
+            u, used = _rejection_stack(dim, keep, delta, 1, rng)
+            assert u.shape == (1, keep, keep)
+            proposals += used
+            if i < 20 and keep == dim:
+                assert unitarity_defect(u) < 1e-12
+        rate = count / proposals
+        se = math.sqrt(p * (1 - p) / proposals)
+        assert abs(rate - p) < 5 * se, keep
 
 
 def test_rejection_proposals_count_to_the_accepted_one():
@@ -209,7 +217,7 @@ def test_rejection_proposals_count_to_the_accepted_one():
     # took in the rest of a block of proposals would never be 1
     dim, delta, count = 3, 1.0, 1600
     rng = RngStream(29)
-    ones = sum(_rejection_stack(dim, delta, 1, rng)[1] == 1 for _ in range(count))
+    ones = sum(_rejection_stack(dim, dim, delta, 1, rng)[1] == 1 for _ in range(count))
     p = (dim + 1) / 2 ** (2 * dim)
     assert abs(ones - count * p) < 5 * math.sqrt(count * p * (1 - p))
 
@@ -228,6 +236,83 @@ def test_rejection_determinism():
     a = sample_hua_pickrell_rejection(2, 1.0, RngStream(5))
     b = sample_hua_pickrell_rejection(2, 1.0, RngStream(5))
     assert np.array_equal(a, b)
+
+
+def test_rejection_nan_draw_raises():
+    # the proposals are real, their completions NaN: the row block's
+    # orthonormality check stops the NaN before it reaches the caller
+    class NanNormals(RngStream):
+        def standard_normal(self, size=None):
+            return np.full(size, np.nan)
+
+    with np.errstate(invalid="ignore"):
+        for keep in (3, 1):
+            with pytest.raises(NumericalError, match="not unitary"):
+                _rejection_stack(3, keep, 1.0, 5, NanNormals(47))
+        with pytest.raises(NumericalError, match="not unitary"):
+            sample_hua_pickrell_rejection(2, 1 + 1j, NanNormals(47))
+
+
+def _reflections(dim, count, seed):
+    rng = RngStream(seed)
+    gamma = _verblunsky_coefficients(dim, count, rng)
+    return gamma, _reflection_vectors(gamma, dim, rng)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
+def test_verblunsky_coefficients_have_haar_moments(dim):
+    # |gamma_k|^2 ~ Beta(1, d - 1) with d = dim - k + 1 has mean 1/d; the last
+    # coefficient is on the circle, and every angle is uniform
+    count = 20_000
+    gamma = _verblunsky_coefficients(dim, count, RngStream(900 + dim))
+    assert gamma.shape == (count, dim)
+    r2 = np.abs(gamma) ** 2
+    d = dim - np.arange(dim)
+    se = r2.std(axis=0) / math.sqrt(count)
+    assert np.all(np.abs(r2[:, :-1].mean(axis=0) - 1 / d[:-1]) < 5 * se[:-1])
+    np.testing.assert_allclose(r2[:, -1], 1.0, rtol=0, atol=1e-15)
+    phase = gamma / np.abs(gamma)
+    assert np.all(np.abs(phase.mean(axis=0)) < 5 / math.sqrt(count))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 10])
+def test_reflection_product_carries_det_i_minus_u(dim):
+    # det(I - U) = prod_k (1 - gamma_k), with the principal branches summing
+    # alike: sum_i Log(1 - lambda_i) = sum_k Log(1 - gamma_k)
+    gamma, v = _reflections(dim, 500, 910 + dim)
+    u = _reflection_rows(v)
+    lam = np.linalg.eigvals(u)
+    lhs = np.sum(np.log(1.0 - lam), axis=1)
+    rhs = np.sum(np.log(1.0 - gamma), axis=1)
+    assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 7])
+def test_reflection_rows_are_the_unitary_product(dim):
+    _, v = _reflections(dim, 200, 920 + dim)
+    u = _reflection_rows(v)
+    assert u.shape == (200, dim, dim)
+    assert unitarity_defect(u) < 1e-13
+    ref = np.array([reflection_product(x) for x in v])
+    np.testing.assert_allclose(u, ref, rtol=0, atol=1e-13)
+    # gamma = 1 exactly: R is the identity, with no 0/0
+    v[0, 0] = 0.0
+    v[0, 0, 0] = 1.0
+    u = _reflection_rows(v)
+    assert unitarity_defect(u) < 1e-13
+    np.testing.assert_allclose(u[0], reflection_product(v[0]), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_corner_rows_equal_the_full_product(dim):
+    # the factors after n change only columns n.., so the n x N block built
+    # from v_1..v_n holds the full product's n x n corner
+    _, v = _reflections(dim, 100, 930 + dim)
+    full = _reflection_rows(v)
+    for keep in range(1, dim + 1):
+        rows = _reflection_rows(v[:, :keep])
+        assert rows.shape == (100, keep, dim)
+        assert rows[:, :, :keep].tobytes() == full[:, :keep, :keep].tobytes()
 
 
 def test_mh_accepts_everything_at_delta_zero():

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.stats as st
 
-from hplab import truncation
+from hplab import sampling, truncation
 from hplab.errors import NumericalError
 from hplab.rng import RngStream
 from hplab.sampling import HPParams, MHConfig, sample_haar_unitary
@@ -14,6 +15,8 @@ from hplab.truncation import (
     sample_truncation_ensemble,
     truncate,
 )
+
+from reference import ginibre_rejection
 
 
 def test_truncate_takes_corner_copy():
@@ -109,6 +112,43 @@ def test_ensemble_chunk_error_reaches_the_caller(monkeypatch, cpus):
     monkeypatch.setattr(np.linalg, "qr", qr)
     with pytest.raises(NumericalError, match="not unitary"):
         sample_truncation_ensemble(HPParams(2, 1, 0.0), 3 * ENSEMBLE_CHUNK, "haar", RngStream(5))
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_rejection_chunk_error_reaches_the_caller(monkeypatch, cpus):
+    # each chunk builds its corners in one call; every call after the first
+    # returns rows that are not orthonormal, so a chunk other than the first
+    # raises on its worker thread
+    monkeypatch.setattr(truncation, "_cpu_count", lambda: cpus)
+    real_rows = sampling._reflection_rows
+    calls = itertools.count()  # next() on it is atomic
+
+    def rows(v):
+        x = real_rows(v)
+        return x if next(calls) == 0 else 1.001 * x
+
+    monkeypatch.setattr(sampling, "_reflection_rows", rows)
+    with pytest.raises(NumericalError, match="not unitary"):
+        sample_truncation_ensemble(HPParams(2, 1, 1.0), 3 * ENSEMBLE_CHUNK, "hp_rejection",
+                                   RngStream(5))
+    assert next(calls) == 3  # every chunk ran
+
+
+@pytest.mark.parametrize("n, m, delta", [(2, 1, 1.0), (1, 2, 0.5 + 0.25j)])
+def test_rejection_corners_match_ginibre_rejection(n, m, delta):
+    # the Verblunsky sampler's corners against rejection from Ginibre-QR Haar
+    # draws weighed by their eigenvalues: KS on Re and Im of the trace and on
+    # sum |z_i|^2, Bonferroni level 1e-3 over both cases
+    count, alpha = 3000, 1e-3 / 6
+    new = sample_truncation_ensemble(HPParams(n, m, delta), count, "hp_rejection", RngStream(41))
+    old = eigenvalues(truncate(ginibre_rejection(n + m, delta, count, RngStream(42)), n))
+
+    def stats(z):
+        t = z.sum(axis=1)
+        return t.real, t.imag, np.sum(np.abs(z) ** 2, axis=1)
+
+    for a, b in zip(stats(new), stats(old)):
+        assert st.ks_2samp(a, b).pvalue >= alpha
 
 
 def test_rejection_ensemble_chunk_prefix_stability():
